@@ -129,23 +129,16 @@ class TracePreservationReport:
         return max((abs(r) for _, r in self.residuals), default=0.0)
 
 
-def _choices_per_input_spin(n_in: int, m_out: int) -> list[list[tuple[HalfInt, HalfInt]]]:
-    """For each input spin ``l``, the ordered list of legal ``(j, J)`` pairs."""
-    choices = []
-    for l in spin_range(n_in):
-        pairs = []
-        for j in spin_range(m_out):
-            for J in coupled_range(j, l):
-                pairs.append((j, J))
-        choices.append(pairs)
-    return choices
-
-
 def extremal_count(n_in: int, m_out: int) -> int:
-    """Number of extremal maps, the product over ``l`` of the per-``l`` choices."""
+    """Number of extremal maps, the product over ``l`` of the per-``l`` choices.
+
+    Spin ``l`` couples to output spin ``j`` in ``2 min(j, l) + 1`` ways, so
+    the count is ``prod_l sum_j (min(2j, 2l) + 1)``.
+    """
+    outs = [j.doubled for j in spin_range(m_out)]
     count = 1
-    for pairs in _choices_per_input_spin(n_in, m_out):
-        count *= len(pairs)
+    for l in spin_range(n_in):
+        count *= sum(min(dj, l.doubled) + 1 for dj in outs)
     return count
 
 
@@ -168,7 +161,10 @@ def enumerate_extremal(
             f"search space too large: {count} extremal maps for "
             f"{n_in} -> {m_out} exceeds cap {cap}"
         )
-    choices = _choices_per_input_spin(n_in, m_out)
+    choices = [
+        [(j, J) for j in spin_range(m_out) for J in coupled_range(j, l)]
+        for l in spin_range(n_in)
+    ]
     maps = []
     for combo in itertools.product(*choices):
         maps.append(
@@ -187,8 +183,8 @@ def conjectured_optimal_map(n_in: int, m_out: int) -> ExtremalMap:
     spin ``m_out / 2`` coupled down to the smallest reachable total spin
     ``|l - m_out / 2|``.
 
-    This is the map :func:`superbroadcast.analysis.optimal_map` recovers by
-    exhaustive search wherever the search is feasible.
+    This is the map :func:`superbroadcast.analysis.optimal_map` finds as the
+    exact per-sector argmax.
     """
     top = HalfInt(m_out)
     outs = []

@@ -10,14 +10,17 @@ Subcommands::
     figure3      threshold gaps 1 - r* versus N for both output choices
     verify       dense-matrix checks of the closed forms, exit 1 on failure
 
-All numeric CSV fields use 12 significant digits; output is assembled in
-memory and written in one step, so an error never leaves a partial file.
+All numeric CSV fields use 12 significant digits.  Output is assembled in
+memory, written to a temporary file beside the target and renamed over it,
+so an error never leaves a partial or truncated file.
 Exit codes: 0 success, 1 verification failure, 2 invalid arguments.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import os
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -26,11 +29,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .analysis import optimal_map, scaling_profile
-from .channels import (
-    SearchSpaceTooLargeError,
-    coefficients_for,
-    validate_trace_preserving,
-)
+from .channels import coefficients_for, validate_trace_preserving
 from .oracle import (
     SizeCapError,
     permutation_twirl_deviation,
@@ -129,7 +128,7 @@ def threshold_rows(config: RunConfig) -> list[list[str]]:
 
 
 def mstar_rows(config: RunConfig) -> list[list[str]]:
-    result = m_star(config.n_in, cap=config.cap, tol=config.tol)
+    result = m_star(config.n_in, cap=config.cap)
     value = f">={config.cap}" if result.capped else str(result.m_star)
     return [["n", "m_star"], [str(config.n_in), value]]
 
@@ -178,7 +177,7 @@ def figure3_rows(config: RunConfig) -> list[list[str]]:
         if not adjacent.exists:
             rows.append([str(n), "none", "none"])
             continue
-        best = m_star(n, cap=config.cap, tol=config.tol)
+        best = m_star(n, cap=config.cap)
         if best.capped:
             maximal = limiting_threshold(n, tol=config.tol)
         else:
@@ -204,9 +203,7 @@ def verify_lines(config: RunConfig) -> tuple[list[str], bool]:
     tp = validate_trace_preserving(coeffs)
     checks.append(("coefficient_trace_preservation", tp.max_residual(), 1e-12))
 
-    report = verify_closed_form(
-        n, m, emap, seed=config.seed, cap=max(config.cap, 12), coefficients=coeffs
-    )
+    report = verify_closed_form(n, m, emap, seed=config.seed, coefficients=coeffs)
     checks.extend((c.name, c.deviation, c.tolerance) for c in report.checks)
 
     unitarity = 0.0
@@ -266,15 +263,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name: str, help_text: str, **defaults) -> argparse.ArgumentParser:
+    def add(name: str, help_text: str) -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--out", dest="output_path", default=None,
                        help="output file (default stdout)")
-        p.add_argument("--tol", type=float, default=defaults.get("tol", 1e-6),
-                       help="bisection tolerance")
-        p.add_argument("--cap", type=int, default=defaults.get("cap", 200),
-                       help="search / register-size cap")
-        p.add_argument("--seed", type=int, default=7, help="random seed")
         return p
 
     p = add("scaling", "p(r) of the optimal map on an r grid")
@@ -290,9 +282,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("threshold", "purity threshold r*(N, M)")
     p.add_argument("--n", dest="n_in", type=int, required=True)
     p.add_argument("--m", dest="m_out", type=int, required=True)
+    p.add_argument("--tol", type=float, default=1e-6, help="bisection tolerance")
 
     p = add("mstar", "largest output count with p(0) > 1")
     p.add_argument("--n", dest="n_in", type=int, required=True)
+    p.add_argument("--cap", type=int, default=200, help="largest output count searched")
 
     p = add("optimal-map", "sector table of the argmax extremal map")
     p.add_argument("--n", dest="n_in", type=int, required=True)
@@ -307,11 +301,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("figure3", "threshold gaps 1 - r* versus N")
     p.add_argument("--n-range", dest="n_range", type=_parse_range,
                    metavar="A..B", default=(4, 12))
+    p.add_argument("--tol", type=float, default=1e-6, help="bisection tolerance")
+    p.add_argument("--cap", type=int, default=200, help="largest output count searched")
 
-    p = add("verify", "dense checks of the closed forms", cap=12)
+    p = add("verify", "dense checks of the closed forms")
     p.add_argument("--n", dest="n_in", type=int, required=True)
     p.add_argument("--m", dest="m_out", type=int, required=True)
     p.add_argument("--r", type=float, default=0.5)
+    p.add_argument("--seed", type=int, default=7, help="random seed")
     p.add_argument("--inject-fault", action="store_true", help=argparse.SUPPRESS)
 
     return parser
@@ -332,9 +329,16 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
 def _write(path: Optional[str], text: str) -> None:
     if path is None:
         sys.stdout.write(text)
-    else:
-        with open(path, "w") as handle:
+        return
+    staging = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(staging, "w") as handle:
             handle.write(text)
+        os.replace(staging, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(staging)
+        raise
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -353,7 +357,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         rows = _BUILDERS[config.command](config)
         _write(config.output_path, "\n".join(",".join(row) for row in rows) + "\n")
         return 0
-    except (SearchSpaceTooLargeError, SizeCapError, ValueError) as exc:
+    except (SizeCapError, ValueError) as exc:
         parser.error(str(exc))
     return 2  # unreachable; parser.error raises SystemExit
 

@@ -160,7 +160,8 @@ def multiplicity(n_qubits: int, j: SpinLike) -> int:
     numerator = (d + 1) * math.comb(n_qubits, k)
     denominator = k + 1
     count, remainder = divmod(numerator, denominator)
-    assert remainder == 0
+    if remainder:
+        raise ArithmeticError(f"multiplicity of spin {jj} in {n_qubits} qubits is not whole")
     return count
 
 

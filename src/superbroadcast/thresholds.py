@@ -137,7 +137,7 @@ def r_star(n_in: int, m_out: int, tol: float = 1e-6) -> ThresholdResult:
     return ThresholdResult(n_in, m_out, 0.5 * (lo + hi), hi - lo)
 
 
-def m_star(n_in: int, cap: int = 200, tol: float = 1e-6) -> MStarResult:
+def m_star(n_in: int, cap: int = 200) -> MStarResult:
     """Largest output count ``M <= cap`` that admits superbroadcasting.
 
     Walks ``M = N+1, N+2, ...`` and checks presence at every step (presence
@@ -149,7 +149,6 @@ def m_star(n_in: int, cap: int = 200, tol: float = 1e-6) -> MStarResult:
         raise ValueError(f"need N >= 1, got {n_in}")
     if cap <= n_in:
         raise ValueError(f"cap {cap} leaves no output count above N={n_in}")
-    del tol  # presence needs only the sign of p - 1, not a refined threshold
     last_good = n_in
     for m_out in range(n_in + 1, cap + 1):
         if not _has_superbroadcasting(n_in, m_out):

@@ -108,16 +108,23 @@ def test_criterion_4_no_broadcasting_single_copy():
 
 def test_criterion_5_optimal_map_identity():
     mismatches = []
+    rs = np.array([0.1, 0.5, 0.9])
     for n in range(1, 6):
         for m in range(1, 9):
             conjecture = conjectured_optimal_map(n, m)
-            for r in (0.1, 0.5, 0.9):
+            # brute force over every extremal map, independent of the argmax
+            brute = np.max([BlochCurve(e).r_prime(rs) for e in enumerate_extremal(n, m)], axis=0)
+            for r, top in zip(rs, brute):
                 result = optimal_map(n, m, r)
-                if not (result.exhaustive and result.best_map == conjecture):
+                if not (
+                    result.exhaustive
+                    and result.best_map == conjecture
+                    and abs(result.report.r_prime - top) <= 1e-12
+                ):
                     mismatches.append((n, m, r))
     ok = not mismatches
     _report(
-        "criterion 5 (exhaustive argmax = half-output-spin rule)",
+        "criterion 5 (exhaustive argmax = brute-force max = half-output-spin rule)",
         ok,
         f"N<=5, M<=8, r in {{0.1,0.5,0.9}}; mismatches={mismatches}",
     )

@@ -1,13 +1,21 @@
 """Closed-form output Bloch lengths, scaling factors, and the argmax search."""
 
+import dataclasses
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from superbroadcast.analysis import (
+    FAST_KERNEL_MIN_SIZE,
     BlochCurve,
+    _alpha_polarization,
+    _moments_fast,
+    _most_depolarizing_map,
+    _polarization,
     half_spin_scaling_at_zero,
     input_weights,
     optimal_map,
@@ -20,9 +28,37 @@ from superbroadcast.channels import (
     coefficients_for,
     conjectured_optimal_map,
     enumerate_extremal,
+    extremal_count,
     mix,
     validate_trace_preserving,
 )
+from superbroadcast.su2core import HalfInt, cg_square, coupled_range, projections
+
+
+def _cg_polarization(dl, dj, dJ):
+    """``sum_m <J m+n|j m, l n>^2 * 2m`` for ``n`` ascending, by exact CG sums."""
+    j, l, J = HalfInt(dj), HalfInt(dl), HalfInt(dJ)
+    return [
+        sum(cg_square(j, m, l, n, J, m + n) * m.doubled for m in projections(j))
+        for n in projections(l)
+    ]
+
+
+def _alpha(dl, dj, dJ):
+    """Wigner-Eckart slope ``alpha = (2J+1) s / (2l(l+1)(2l+1))``, exact."""
+    j, l, J = (Fraction(d, 2) for d in (dj, dl, dJ))
+    s = J * (J + 1) - j * (j + 1) - l * (l + 1)
+    return (2 * J + 1) * s / (2 * l * (l + 1) * (2 * l + 1))
+
+
+def _check_alpha_identity(dl, dj, dJ):
+    exact = _cg_polarization(dl, dj, dJ)
+    if dl == 0:
+        assert exact == [0]
+    else:
+        alpha = _alpha(dl, dj, dJ)
+        assert exact == [alpha * n.doubled for n in projections(HalfInt(dl))]
+    return exact
 
 
 def test_input_weights_values():
@@ -104,14 +140,38 @@ def test_exact_zero_limit_frozen_values():
     assert half_spin_scaling_at_zero(6, 500) > 1
 
 
-def test_fast_and_exact_kernels_agree():
-    grid = np.linspace(0.0, 1.0, 11)
-    for n in range(2, 7):
-        for m in (n + 1, n + 9, n + 30):
-            emap = conjectured_optimal_map(n, m)
-            fast = BlochCurve(emap, exact=False).r_prime(grid)
-            exact = BlochCurve(emap, exact=True).r_prime(grid)
-            assert_allclose(fast, exact, rtol=1e-11, atol=1e-13)
+def test_alpha_identity_matches_cg_sums():
+    # every l <= 4, j <= 5 and coupled J: the Clebsch-Gordan sums equal
+    # alpha * 2n exactly, and the moments used are those rationals rounded once
+    for dl in range(9):
+        for dj in range(11):
+            for J in coupled_range(HalfInt(dj), HalfInt(dl)):
+                exact = _check_alpha_identity(dl, dj, J.doubled)
+                used = _polarization(dl, dj, J.doubled)
+                assert used.tolist() == [float(x) for x in exact]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 16), st.integers(0, 16), st.data())
+def test_alpha_identity_property(dl, dj, data):
+    dJ = data.draw(st.sampled_from(coupled_range(HalfInt(dj), HalfInt(dl)))).doubled
+    exact = _check_alpha_identity(dl, dj, dJ)
+    assert _alpha_polarization(dl, dj, dJ).tolist() == [float(x) for x in exact]
+
+
+def test_log_factorial_kernel_matches_alpha():
+    # the anti-stretched sectors J = |j - l| of size 2j + 2l >= 24 it serves
+    for dl in (0, 1, 2, 7, 12, 24, 41, 80):
+        for dj in (0, 3, 12, 23, 24, 35, 60, 101, 200):
+            if dj + dl < FAST_KERNEL_MIN_SIZE:
+                continue
+            dJ = abs(dj - dl)
+            mass, pol = _moments_fast(dl, dj, dJ)
+            # each moment sums terms up to mass * 2j in size, which sets its rounding
+            atol = 1e-14 * (dJ + 1) / (dl + 1) * max(dj, 1)
+            assert_allclose(pol, _alpha_polarization(dl, dj, dJ), rtol=1e-11, atol=atol)
+            assert_allclose(mass, (dJ + 1) / (dl + 1), rtol=1e-11)
+            assert _polarization(dl, dj, dJ) is pol
 
 
 def test_convex_evaluation_matches_extremal():
@@ -157,11 +217,29 @@ def test_optimal_map_is_really_the_max():
             assert single_copy_bloch(emap, r).r_prime <= best + 1e-12
 
 
-def test_optimal_map_beyond_cap_falls_back():
-    result = optimal_map(8, 40, 0.5, cap=10)
-    assert not result.exhaustive
-    assert result.matches_conjecture
-    assert result.best_map == conjectured_optimal_map(8, 40)
+def test_optimal_map_exhaustive_at_every_size():
+    # far beyond what enumeration could visit (about 1e13 and 1e66 maps)
+    for n, m in [(8, 40), (40, 41)]:
+        result = optimal_map(n, m, 0.5)
+        assert result.exhaustive
+        assert result.matches_conjecture
+        assert result.best_map == conjectured_optimal_map(n, m)
+        assert result.candidates == extremal_count(n, m)
+
+
+def test_most_depolarizing_map_is_brute_force_minimum():
+    rs = np.array([0.05, 0.5, 0.95])
+    for n in range(1, 6):
+        for m in range(1, 8):
+            maps = enumerate_extremal(n, m)
+            values = np.array([BlochCurve(emap).r_prime(rs) for emap in maps])
+            partner = _most_depolarizing_map(n, m)
+            for k, r in enumerate(rs):
+                first = int(np.argmin(values[:, k]))  # first minimizer in order
+                assert partner == maps[first]
+                assert_allclose(
+                    single_copy_bloch(partner, r).r_prime, values[first, k], rtol=0, atol=1e-15
+                )
 
 
 def test_scaling_profile_caches_and_evaluates():
@@ -171,6 +249,8 @@ def test_scaling_profile_caches_and_evaluates():
     assert_allclose(profile.r_prime(grid), BlochCurve(profile.emap).r_prime(grid))
     assert profile.p_zero() > 1  # superbroadcasting pair
     assert scaling_profile(5, 9) is profile  # lru cache returns the same object
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        profile.m_out = 10  # shared by every caller, so it must not change
 
 
 def test_perfect_broadcast_channel_below_threshold():

@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+from superbroadcast import cli
 from superbroadcast.cli import (
     RunConfig,
     figure3_rows,
@@ -106,6 +107,8 @@ def test_cli_invalid_arguments_exit_2():
     assert run_cli("scaling", "--n", "4", "--m", "5", "--steps", "1").returncode == 2
     assert run_cli("scaling", "--n", "4", "--m-range", "7..5").returncode == 2
     assert run_cli("nonsense").returncode == 2
+    # each subcommand takes only the shared flags it reads
+    assert run_cli("threshold", "--n", "4", "--m", "5", "--cap", "5").returncode == 2
 
 
 def test_cli_error_leaves_no_partial_file(tmp_path):
@@ -116,6 +119,31 @@ def test_cli_error_leaves_no_partial_file(tmp_path):
     )
     assert result.returncode == 2
     assert not target.exists()
+
+
+def test_cli_failed_write_keeps_the_earlier_file(tmp_path, monkeypatch):
+    target = tmp_path / "table.csv"
+    target.write_text("earlier\n")
+
+    class FailingHandle:
+        def __init__(self, handle):
+            self.handle = handle
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.handle.close()
+
+        def write(self, text):
+            self.handle.write(text[: len(text) // 2])
+            raise OSError("device full")
+
+    monkeypatch.setattr(cli, "open", lambda *a, **k: FailingHandle(open(*a, **k)), raising=False)
+    with pytest.raises(OSError, match="device full"):
+        cli._write(str(target), "n,m\n" * 100)
+    assert target.read_text() == "earlier\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["table.csv"]
 
 
 def test_cli_output_file_matches_stdout(tmp_path):
