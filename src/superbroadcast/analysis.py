@@ -403,13 +403,17 @@ def _per_sector_map(n_in: int, m_out: int, key: Callable[..., object]) -> Extrem
     """The map taking, for each input spin ``l``, the legal ``(j, J)`` with
     the largest ``key(2l, 2j, 2J)``; ties go to the first in the order of
     :func:`superbroadcast.channels.enumerate_extremal` (ascending ``j``,
-    then ``J``)."""
+    then ``J``).
+
+    ``key`` must be strictly monotone in ``J`` for fixed ``(l, j)``, as ``s``
+    is, so only the ends ``J = |j - l|`` and ``J = j + l`` are scored.
+    """
     outs, coupled = [], []
     for dl in (l.doubled for l in spin_range(n_in)):
         choices = (
             (dj, dJ)
             for dj in range(m_out % 2, m_out + 1, 2)
-            for dJ in range(abs(dj - dl), dj + dl + 1, 2)
+            for dJ in sorted({abs(dj - dl), dj + dl})
         )
         dj, dJ = max(choices, key=lambda c: key(dl, *c))
         outs.append(HalfInt(dj))

@@ -133,12 +133,17 @@ def extremal_count(n_in: int, m_out: int) -> int:
     """Number of extremal maps, the product over ``l`` of the per-``l`` choices.
 
     Spin ``l`` couples to output spin ``j`` in ``2 min(j, l) + 1`` ways, so
-    the count is ``prod_l sum_j (min(2j, 2l) + 1)``.
+    the count is ``prod_l sum_j (min(2j, 2l) + 1)``.  The inner sum is
+    ``sum_{j <= l} (2j+1)`` plus ``(2l+1)`` times the number of ``j > l``;
+    with the ``k`` output spins ``2j = p, p+2, ...`` up to ``2l`` (``p`` the
+    parity of ``m_out``) the first part is ``k (p + k)``.
     """
-    outs = [j.doubled for j in spin_range(m_out)]
+    parity = m_out % 2
+    outs = (m_out - parity) // 2 + 1
     count = 1
     for l in spin_range(n_in):
-        count *= sum(min(dj, l.doubled) + 1 for dj in outs)
+        below = max(0, (min(l.doubled, m_out) - parity) // 2 + 1)
+        count *= below * (parity + below) + (l.doubled + 1) * (outs - below)
     return count
 
 

@@ -357,7 +357,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         rows = _BUILDERS[config.command](config)
         _write(config.output_path, "\n".join(",".join(row) for row in rows) + "\n")
         return 0
-    except (SizeCapError, ValueError) as exc:
+    except (SizeCapError, ValueError, OverflowError) as exc:
         parser.error(str(exc))
     return 2  # unreachable; parser.error raises SystemExit
 

@@ -136,19 +136,23 @@ def schur_isometry(n_qubits: int, cap: int = DEFAULT_QUBIT_CAP) -> SchurIsometry
     for level in range(2, n_qubits + 1):
         grown: dict[HalfInt, list[tuple[tuple[HalfInt, ...], np.ndarray]]] = {}
         for j in sorted(blocks, reverse=True):
-            for path, block in blocks[j]:
-                for child in (j + half, j - half):
-                    if child.doubled < 0:
-                        continue
-                    rows = np.zeros((child.dim, block.shape[1] * 2))
-                    for row, m_new in enumerate(reversed(projections(child))):
-                        for spin_state, basis in ((half, (1.0, 0.0)), (-half, (0.0, 1.0))):
-                            m_old = m_new - spin_state
-                            if abs(m_old.doubled) > j.doubled:
-                                continue
-                            amplitude = cg(j, m_old, half, spin_state, child, m_new)
-                            old_row = block[(j.doubled - m_old.doubled) // 2]
-                            rows[row] += amplitude * np.kron(old_row, basis)
+            for child in (j + half, j - half):
+                if child.doubled < 0:
+                    continue
+                # amplitudes[row, qubit, old row]: <child m_new | j m_old, 1/2 +-1/2>,
+                # the new qubit up (0) or down (1); shared by every path of j.
+                amplitudes = np.zeros((child.dim, 2, j.dim))
+                for row, m_new in enumerate(reversed(projections(child))):
+                    for qubit, spin_state in enumerate((half, -half)):
+                        m_old = m_new - spin_state
+                        if abs(m_old.doubled) > j.doubled:
+                            continue
+                        amplitudes[row, qubit, (j.doubled - m_old.doubled) // 2] = cg(
+                            j, m_old, half, spin_state, child, m_new
+                        )
+                for path, block in blocks[j]:
+                    # the new qubit is the least significant tensor factor
+                    rows = (amplitudes @ block).transpose(0, 2, 1).reshape(child.dim, -1)
                     grown.setdefault(child, []).append((path + (child,), rows))
         blocks = grown
     return SchurIsometry(n_qubits, blocks)
@@ -156,6 +160,40 @@ def schur_isometry(n_qubits: int, cap: int = DEFAULT_QUBIT_CAP) -> SchurIsometry
 
 # ---------------------------------------------------------------------------
 # Choi operators
+
+
+def _coupled_columns(
+    j: HalfInt,
+    l: HalfInt,
+    J: HalfInt,
+    out_blocks: np.ndarray,
+    in_blocks: np.ndarray,
+) -> np.ndarray:
+    """Total-spin-``J`` vectors of every (output path, input path) pair.
+
+    ``out_blocks`` and ``in_blocks`` stack Schur blocks of spins ``j`` and
+    ``l`` along their first axis, shapes ``(P, 2j+1, 2^M)`` and
+    ``(Q, 2l+1, 2^N)``.  Column ``(p, q, k)`` of the result is
+    ``sum_m <J M_k | j m, l M_k-m> |j m, p> (x) |l M_k-m, q>``, so the
+    result has shape ``(2^M 2^N, P Q (2J+1))`` with orthonormal columns.
+    """
+    if J not in coupled_range(j, l):
+        raise ValueError(f"total spin {J} outside the coupling range of ({j}, {l})")
+    if out_blocks.shape[1] != j.dim or in_blocks.shape[1] != l.dim:
+        raise ValueError("Schur block shapes do not match the stated spins")
+    amplitudes = np.zeros((j.dim, l.dim, J.dim))
+    for k, m_total in enumerate(projections(J)):
+        for m in projections(j):
+            n = m_total - m
+            if abs(n.doubled) > l.doubled:
+                continue
+            amplitudes[(j.doubled - m.doubled) // 2, (l.doubled - n.doubled) // 2, k] = cg(
+                j, m, l, n, J, m_total
+            )
+    columns = np.einsum(
+        "mnk,pma,qnb->abpqk", amplitudes, out_blocks, in_blocks, optimize=True
+    )
+    return columns.reshape(out_blocks.shape[2] * in_blocks.shape[2], -1)
 
 
 def projector_J(
@@ -171,27 +209,9 @@ def projector_J(
     descending) of spins ``j`` and ``l``; the result acts on the joint space
     ordered output (x) input and has rank ``2J+1``.
     """
-    jj, ll, JJ = HalfInt.of(j), HalfInt.of(l), HalfInt.of(J)
-    if JJ not in coupled_range(jj, ll):
-        raise ValueError(f"total spin {JJ} outside the coupling range of ({jj}, {ll})")
-    if out_block.shape[0] != jj.dim or in_block.shape[0] != ll.dim:
-        raise ValueError("Schur block shapes do not match the stated spins")
-    dim = out_block.shape[1] * in_block.shape[1]
-    coupled = np.zeros((dim, JJ.dim))
-    for col, m_total in enumerate(projections(JJ)):
-        vec = np.zeros(dim)
-        for m in projections(jj):
-            n = m_total - m
-            if abs(n.doubled) > ll.doubled:
-                continue
-            amplitude = cg(jj, m, ll, n, JJ, m_total)
-            if amplitude == 0.0:
-                continue
-            vec += amplitude * np.kron(
-                out_block[(jj.doubled - m.doubled) // 2],
-                in_block[(ll.doubled - n.doubled) // 2],
-            )
-        coupled[:, col] = vec
+    coupled = _coupled_columns(
+        HalfInt.of(j), HalfInt.of(l), HalfInt.of(J), out_block[None], in_block[None]
+    )
     return coupled @ coupled.T
 
 
@@ -202,6 +222,10 @@ def build_choi(coeffs: ChannelCoeffs, cap: int = DEFAULT_QUBIT_CAP) -> DenseOper
     of coupling paths (the identity on both multiplicity spaces).  The
     result is PSD with ``Tr_out = I`` for trace-preserving coefficients.
 
+    The coupled vectors of all triples and path pairs are orthonormal, so
+    stacked as the columns of ``V`` they number at most ``2^(N+M)``, and the
+    whole sum is the single product ``(V w) V^T``.
+
     Raises:
         SizeCapError: when ``n_in + m_out`` exceeds ``cap`` (default 12).
     """
@@ -210,16 +234,23 @@ def build_choi(coeffs: ChannelCoeffs, cap: int = DEFAULT_QUBIT_CAP) -> DenseOper
         raise SizeCapError(f"{m_out}+{n_in} qubits exceed the dense cap {cap}")
     iso_out = schur_isometry(m_out, cap)
     iso_in = schur_isometry(n_in, cap)
-    dim = 2 ** (m_out + n_in)
-    choi = np.zeros((dim, dim))
+    columns = [np.zeros((2 ** (m_out + n_in), 0))]
+    scales = [np.zeros(0)]
     for (j, l, J), s in coeffs.weights.items():
         weight = float(s)
         if weight == 0.0:
             continue
-        for _, out_block in iso_out.blocks[j]:
-            for _, in_block in iso_in.blocks[l]:
-                choi += weight * projector_J(j, l, J, out_block, in_block)
-    return choi
+        coupled = _coupled_columns(
+            j,
+            l,
+            J,
+            np.stack([block for _, block in iso_out.blocks[j]]),
+            np.stack([block for _, block in iso_in.blocks[l]]),
+        )
+        columns.append(coupled)
+        scales.append(np.full(coupled.shape[1], weight))
+    v = np.hstack(columns)
+    return (v * np.concatenate(scales)) @ v.T
 
 
 def apply_channel(choi: DenseOperator, rho_in: DenseOperator) -> DenseOperator:
@@ -243,8 +274,13 @@ def apply_channel(choi: DenseOperator, rho_in: DenseOperator) -> DenseOperator:
     dim_out = dim_total // dim_in
     flip = kron_power(_FLIP, n_in)
     rho_tilde = flip @ rho_in.T @ flip.T
+    # out[x, y] = sum_{a,b} S[x b, y a] rho~[a, b]: one batched matrix
+    # product over (x, b) contracts the real and imaginary parts of rho~
+    # together, so a real Choi operator is never cast to complex.
+    parts = np.stack([rho_tilde.T.real, rho_tilde.T.imag], axis=-1)
     choi4 = choi.reshape(dim_out, dim_in, dim_out, dim_in)
-    return np.einsum("ab,xbya->xy", rho_tilde, choi4)
+    out = np.matmul(choi4, parts).sum(axis=1)
+    return out[..., 0] + 1j * out[..., 1]
 
 
 # ---------------------------------------------------------------------------
@@ -356,6 +392,49 @@ class VerificationReport:
         raise KeyError(name)
 
 
+def _skew_deviation(choi: DenseOperator) -> float:
+    """``max |S - S^H|``, compared in 64 x 64 tiles so the transposed reads
+    stay in cache (a whole-matrix ``S - S^H`` strides through memory)."""
+    dim, tile = choi.shape[0], 64
+    worst = 0.0
+    for i in range(0, dim, tile):
+        for k in range(i, dim, tile):
+            upper = choi[i : i + tile, k : k + tile]
+            lower = choi[k : k + tile, i : i + tile]
+            worst = np.maximum(worst, np.max(np.abs(upper - lower.conj().T)))
+    return float(worst)
+
+
+def _positivity_deviation(choi: DenseOperator) -> float:
+    """Upper bound on ``max(0, -lambda_min)`` from blocks of equal charge.
+
+    A covariant Choi operator conserves total ``J_z``, which on joint basis
+    states is fixed by the popcount of the index, so it is block diagonal
+    in the blocks of equal popcount.  By Weyl's inequality the smallest
+    eigenvalue is at least the smallest block eigenvalue minus the spectral
+    norm of the off-block part, and that norm is at most its largest
+    absolute row or column sum.  The bound is exact when the off-block part
+    vanishes.
+    """
+    dim = choi.shape[0]
+    index = np.arange(dim)
+    charge = np.zeros(dim, dtype=int)
+    for bit in range(dim.bit_length() - 1):
+        charge += (index >> bit) & 1
+    lowest = np.inf
+    off_rows = 0.0
+    off_cols = np.zeros(dim)
+    for value in range(int(charge.max()) + 1):
+        members = np.flatnonzero(charge == value)
+        band = choi[members]
+        lowest = min(lowest, float(np.linalg.eigvalsh(band[:, members])[0]))
+        outside = np.abs(band)
+        outside[:, members] = 0.0
+        off_rows = max(off_rows, float(outside.sum(axis=1).max()))
+        off_cols += outside.sum(axis=0)
+    return max(0.0, max(off_rows, float(off_cols.max())) - lowest)
+
+
 def verify_closed_form(
     n_in: int,
     m_out: int,
@@ -392,12 +471,11 @@ def verify_closed_form(
         coefficients = coefficients_for(emap)
     choi = build_choi(coefficients, cap)
 
-    hermitian_dev = float(np.max(np.abs(choi - choi.conj().T)))
+    hermitian_dev = _skew_deviation(choi)
     choi4 = choi.reshape(2**m_out, 2**n_in, 2**m_out, 2**n_in)
     trace_out = np.einsum("aiaj->ij", choi4)
     tp_dev = float(np.max(np.abs(trace_out - np.eye(2**n_in))))
-    min_eig = float(np.linalg.eigvalsh(choi)[0])
-    psd_dev = max(0.0, -min_eig)
+    psd_dev = _positivity_deviation(choi)
 
     parallel_dev = 0.0
     transverse_dev = 0.0

@@ -174,7 +174,7 @@ def _check_pair(dj: int, dm: int, label: str) -> None:
         )
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=2**16)
 def _cg_signed_square(
     dj1: int, dm1: int, dj2: int, dm2: int, dJ: int, dM: int
 ) -> tuple[int, Fraction]:

@@ -3,6 +3,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from superbroadcast.channels import (
     ChannelCoeffs,
@@ -34,6 +36,15 @@ def test_extremal_count_small_registers():
             for l in spin_range(n):
                 expected *= sum(len(coupled_range(j, l)) for j in spin_range(m))
             assert extremal_count(n, m) == expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 80), st.integers(1, 80))
+def test_extremal_count_matches_direct_double_sum(n, m):
+    expected = 1
+    for l in spin_range(n):
+        expected *= sum(min(j.doubled, l.doubled) + 1 for j in spin_range(m))
+    assert extremal_count(n, m) == expected
 
 
 def test_enumerate_matches_count_and_is_unique():

@@ -109,6 +109,10 @@ def test_cli_invalid_arguments_exit_2():
     assert run_cli("nonsense").returncode == 2
     # each subcommand takes only the shared flags it reads
     assert run_cli("threshold", "--n", "4", "--m", "5", "--cap", "5").returncode == 2
+    # sizes whose multiplicities overflow a float exit cleanly, no traceback
+    huge = run_cli("threshold", "--n", "1100", "--m", "1101")
+    assert huge.returncode == 2
+    assert "Traceback" not in huge.stderr
 
 
 def test_cli_error_leaves_no_partial_file(tmp_path):

@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from superbroadcast import oracle
+from superbroadcast.analysis import perfect_broadcast_channel
 from superbroadcast.channels import (
     ChannelCoeffs,
     coefficients_for,
@@ -14,6 +16,7 @@ from superbroadcast.channels import (
 )
 from superbroadcast.oracle import (
     SizeCapError,
+    _positivity_deviation,
     apply_channel,
     bloch_vector,
     build_choi,
@@ -115,19 +118,70 @@ def test_identity_channel_reproduces_the_state():
         assert_allclose(apply_channel(choi, rho), rho, atol=1e-12)
 
 
+def _faulted(coeffs):
+    # one weight scaled by 101/100, the corruption of ``verify --inject-fault``
+    key = next(iter(coeffs.weights))
+    weights = dict(coeffs.weights)
+    weights[key] = weights[key] * Fraction(101, 100)
+    return ChannelCoeffs(coeffs.n_in, coeffs.m_out, weights)
+
+
+def _projector_sum(coeffs):
+    # Choi operator as the plain sum of s * projector_J over path pairs
+    iso_out = schur_isometry(coeffs.m_out)
+    iso_in = schur_isometry(coeffs.n_in)
+    dim = 2 ** (coeffs.n_in + coeffs.m_out)
+    total = np.zeros((dim, dim))
+    for (j, l, J), s in coeffs.weights.items():
+        for _, out_block in iso_out.blocks[j]:
+            for _, in_block in iso_in.blocks[l]:
+                total += float(s) * projector_J(j, l, J, out_block, in_block)
+    return total
+
+
 def test_choi_trace_preserving_and_positive_small():
-    # exhaustive over every extremal map on registers up to 8 qubits total
+    # exhaustive over every extremal map on registers up to 8 qubits total,
+    # plus a faulted weight and a mixed (non-extremal) channel
+    mixed = perfect_broadcast_channel(4, 4, 0.5)
+    assert mixed is not None
+    faulted = _faulted(coefficients_for(conjectured_optimal_map(3, 4)))
+    cases = [(mixed, True), (faulted, False)]
     for n in range(1, 5):
         for m in range(1, 9 - n):
-            dim_in, dim_out = 2**n, 2**m
-            for emap in enumerate_extremal(n, m):
-                choi = build_choi(coefficients_for(emap))
-                four = choi.reshape(dim_out, dim_in, dim_out, dim_in)
-                reduced = np.einsum("aiaj->ij", four)
-                assert np.max(np.abs(reduced - np.eye(dim_in))) < 1e-10
-                assert np.linalg.eigvalsh(choi)[0] > -1e-10
-                # total trace equals the input dimension
-                assert abs(np.trace(choi) - dim_in) < 1e-9
+            cases.extend((coefficients_for(emap), True) for emap in enumerate_extremal(n, m))
+    for coeffs, trace_preserving in cases:
+        dim_in, dim_out = 2**coeffs.n_in, 2**coeffs.m_out
+        choi = build_choi(coeffs)
+        if trace_preserving:
+            four = choi.reshape(dim_out, dim_in, dim_out, dim_in)
+            reduced = np.einsum("aiaj->ij", four)
+            assert np.max(np.abs(reduced - np.eye(dim_in))) < 1e-10
+            # total trace equals the input dimension
+            assert abs(np.trace(choi) - dim_in) < 1e-9
+        lowest = np.linalg.eigvalsh(choi)[0]
+        assert lowest > -1e-10
+        # the charge-block bound agrees with the full spectrum
+        assert abs(_positivity_deviation(choi) - max(0.0, -lowest)) < 1e-12
+        assert np.max(np.abs(choi - _projector_sum(coeffs))) < 1e-12
+
+
+def test_positivity_bound_sees_off_block_negativity(monkeypatch):
+    # a symmetric entry between two popcount blocks, large enough to make
+    # the true spectrum negative, must fail choi_positive
+    emap = conjectured_optimal_map(2, 3)
+    clean = build_choi(coefficients_for(emap))
+    i, k = 0b00001, 0b00111  # popcounts 1 and 3
+    epsilon = np.sqrt(clean[i, i] * clean[k, k]) + 1e-6
+    broken = clean.copy()
+    broken[i, k] += epsilon
+    broken[k, i] += epsilon
+    assert np.linalg.eigvalsh(broken)[0] < -1e-10
+    assert _positivity_deviation(broken) >= -np.linalg.eigvalsh(broken)[0]
+
+    monkeypatch.setattr(oracle, "build_choi", lambda coeffs, cap: broken)
+    report = verify_closed_form(2, 3, emap)
+    assert "choi_positive" in [c.name for c in report.failures()]
+    assert report.deviation("choi_positive") > 1e-10
 
 
 def test_choi_trace_preserving_and_positive_sampled_large():
@@ -151,6 +205,35 @@ def test_build_choi_cap():
     # a tighter explicit cap rejects registers the default would admit
     with pytest.raises(SizeCapError):
         build_choi(coefficients_for(conjectured_optimal_map(2, 2)), cap=3)
+
+
+def test_hermitian_check_sees_one_asymmetric_entry(monkeypatch):
+    # one entry in a far tile of a 256 x 256 operator breaks the symmetry;
+    # both indices have popcount 2, so the positivity bound is unaffected
+    emap = conjectured_optimal_map(3, 5)
+    broken = build_choi(coefficients_for(emap))
+    broken[0b00000011, 0b11000000] += 1e-9
+    monkeypatch.setattr(oracle, "build_choi", lambda coeffs, cap: broken)
+    report = verify_closed_form(3, 5, emap)
+    assert [c.name for c in report.failures()] == ["choi_hermitian"]
+    assert report.deviation("choi_hermitian") == np.max(np.abs(broken - broken.T))
+
+
+def test_apply_channel_matches_einsum_contraction():
+    # random complex, non-product inputs against Tr_in[(I (x) rho~) S]
+    rng = np.random.default_rng(17)
+    for n, m in [(1, 2), (2, 3), (3, 4), (2, 5)]:
+        choi = build_choi(coefficients_for(conjectured_optimal_map(n, m)))
+        dim_in, dim_out = 2**n, 2**m
+        flip = kron_power(np.array([[0.0, 1.0], [-1.0, 0.0]]), n)
+        for _ in range(3):
+            a = rng.normal(size=(dim_in, dim_in)) + 1j * rng.normal(size=(dim_in, dim_in))
+            rho = a @ a.conj().T
+            rho /= np.trace(rho)
+            rho_tilde = flip @ rho.T @ flip.T
+            choi4 = choi.reshape(dim_out, dim_in, dim_out, dim_in)
+            expected = np.einsum("ab,xbya->xy", rho_tilde, choi4)
+            assert np.max(np.abs(apply_channel(choi, rho) - expected)) < 1e-13
 
 
 def test_apply_channel_validates_shapes():
