@@ -30,8 +30,13 @@ because the reference digests in ``perfbench/golden.json`` pin its
 last-digit rounding of the figure-2 table.  The dense-matrix oracle in
 :mod:`superbroadcast.oracle` checks both against explicit output states.
 
+``r'`` is linear in the channel weights, so one :class:`BlochCurve` serves
+extremal maps (through their exact weights) and convex mixtures alike.
+
 The purity scaling factor is ``p(r) = r'/r``; ``p > 1`` means each output
-copy is purer than each input copy (superbroadcasting).
+copy is purer than each input copy (superbroadcasting).  ``p(0)`` of the
+optimal map is the exact rational :func:`half_spin_scaling_at_zero`, which
+decides every ``p(0) > 1`` question without rounding.
 """
 
 from __future__ import annotations
@@ -239,24 +244,26 @@ class BlochReport:
 
 
 class BlochCurve:
-    """Vectorized ``r'(r)`` and ``p(r)`` evaluator for one extremal map.
+    """Vectorized ``r'(r)`` and ``p(r)`` evaluator for one channel.
 
+    Takes an extremal map or the coefficients of any convex mixture.
     Precomputes the coefficient that multiplies each input weight
     ``w(l, n)``; evaluating the curve is then a single weighted power sum,
     cheap enough for dense threshold grids at hundreds of qubits.
     """
 
-    def __init__(self, emap: ExtremalMap):
-        n_in, m_out = emap.n_in, emap.m_out
+    def __init__(self, channel: Union[ExtremalMap, ChannelCoeffs]):
+        self.emap = channel if isinstance(channel, ExtremalMap) else None
+        coeffs = channel if self.emap is None else coefficients_for(channel)
+        n_in, m_out = coeffs.n_in, coeffs.m_out
         coeff_parts = []
         dn_parts = []
-        for l, j, J in emap.sectors():
+        for (j, l, J), s in coeffs.weights.items():
             pol = _polarization(l.doubled, j.doubled, J.doubled)
-            prefactor = l.dim / J.dim * multiplicity(n_in, l) / m_out
-            dn = np.arange(-l.doubled, l.doubled + 1, 2)
+            # s d_j is exact, (2l+1)/(2J+1) for an extremal map
+            prefactor = float(s * multiplicity(m_out, j)) * multiplicity(n_in, l) / m_out
             coeff_parts.append(prefactor * pol)
-            dn_parts.append(dn)
-        self.emap = emap
+            dn_parts.append(np.arange(-l.doubled, l.doubled + 1, 2))
         self.n_in = n_in
         self.m_out = m_out
         self._coeff = np.concatenate(coeff_parts)
@@ -267,7 +274,7 @@ class BlochCurve:
     def r_prime(self, r: Union[float, np.ndarray]) -> Union[float, np.ndarray]:
         """Output Bloch length at input length ``r`` (scalar or array)."""
         rr = np.asarray(r, dtype=float)
-        if np.any(rr < 0) or np.any(rr > 1):
+        if not np.all((rr >= 0) & (rr <= 1)):
             raise ValueError("Bloch length outside [0, 1]")
         r_plus = (1.0 + rr) / 2.0
         r_minus = (1.0 - rr) / 2.0
@@ -314,40 +321,15 @@ def single_copy_bloch(emap: ExtremalMap, r: float) -> BlochReport:
     return _cached_curve(emap).report(float(r))
 
 
-def _convex_sums(coeffs: ChannelCoeffs, r: float) -> tuple[float, float]:
-    """(r', derivative of r' at 0) for a general coefficient channel."""
-    weights = input_weights(coeffs.n_in, r)
-    r_prime = 0.0
-    slope = 0.0
-    for (j, l, J), s in coeffs.weights.items():
-        if s == 0:
-            continue
-        pol = _polarization(l.doubled, j.doubled, J.doubled)
-        scale = (
-            float(s)
-            * multiplicity(coeffs.m_out, j)
-            * multiplicity(coeffs.n_in, l)
-            / coeffs.m_out
-        )
-        w = weights.weights_for(l)
-        dn = np.arange(-l.doubled, l.doubled + 1, 2)
-        r_prime += scale * float(w @ pol)
-        slope += scale * float((-dn * 0.5**coeffs.n_in) @ pol)
-    return r_prime, slope
-
-
 def single_copy_convex(coeffs: ChannelCoeffs, r: float) -> BlochReport:
     """Single-copy output Bloch data of a convex-mixture channel.
 
     Linear in the channel weights: each triple ``(j, l, J)`` contributes
-    ``s * d_j * d_l * sum_n w(l,n) * sum_m <J m+n|j m, l n>^2 (2m/M)``, which
-    reduces to :func:`single_copy_bloch` for the weights of a single
-    extremal map.
+    ``s * d_j * d_l * sum_n w(l,n) * sum_m <J m+n|j m, l n>^2 (2m/M)``.  The
+    same :class:`BlochCurve` evaluates it, so for the weights of a single
+    extremal map the result equals :func:`single_copy_bloch` exactly.
     """
-    r = float(r)
-    r_prime, slope = _convex_sums(coeffs, r)
-    p = r_prime / r if r > 0 else slope
-    return BlochReport(r=r, r_prime=r_prime, p=p)
+    return BlochCurve(coeffs).report(r)
 
 
 def half_spin_scaling_at_zero(n_in: int, m_out: int) -> Fraction:
@@ -506,4 +488,4 @@ class ScalingProfile:
 def scaling_profile(n_in: int, m_out: int) -> ScalingProfile:
     """Profile of the half-output-spin map, the optimum by :func:`optimal_map`."""
     emap = conjectured_optimal_map(n_in, m_out)
-    return ScalingProfile(n_in, m_out, emap, True, BlochCurve(emap))
+    return ScalingProfile(n_in, m_out, emap, True, _cached_curve(emap))

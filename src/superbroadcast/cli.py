@@ -31,13 +31,14 @@ import numpy as np
 from .analysis import optimal_map, scaling_profile
 from .channels import coefficients_for, validate_trace_preserving
 from .oracle import (
+    CheckResult,
     SizeCapError,
     permutation_twirl_deviation,
     schur_isometry,
     symmetric_marginal_deviation,
     verify_closed_form,
 )
-from .thresholds import limiting_threshold, m_star, r_star
+from .thresholds import _maximal_threshold, m_star, r_star
 
 __all__ = ["RunConfig", "main"]
 
@@ -71,7 +72,7 @@ class RunConfig:
             )
         if self.steps < 2:
             raise ValueError(f"need at least 2 grid steps, got {self.steps}")
-        if self.tol <= 0.0:
+        if not self.tol > 0.0:
             raise ValueError(f"tolerance must be positive, got {self.tol}")
         if not 0.0 <= self.r <= 1.0:
             raise ValueError(f"Bloch length must lie in [0, 1], got {self.r}")
@@ -103,21 +104,26 @@ def _parse_range(text: str) -> tuple[int, int]:
 # row builders (pure; the tests drive these directly)
 
 
+def _curve_rows(prefix: list[str], n: int, m: int, config: RunConfig) -> list[list[str]]:
+    """``prefix, n, m, r, r', p`` of the optimal ``(n, m)`` map on the r grid."""
+    grid = np.linspace(config.r_min, config.r_max, config.steps)
+    profile = scaling_profile(n, m)
+    r_prime = profile.r_prime(grid)
+    p = profile.p(grid)
+    return [
+        prefix + [str(n), str(m), _fmt(grid[i]), _fmt(r_prime[i]), _fmt(p[i])]
+        for i in range(grid.size)
+    ]
+
+
 def scaling_rows(config: RunConfig) -> list[list[str]]:
     if config.m_range is not None:
         m_values = range(config.m_range[0], config.m_range[1] + 1)
     else:
         m_values = [config.m_out]
     rows = [["n", "m", "r", "r_prime", "p"]]
-    grid = np.linspace(config.r_min, config.r_max, config.steps)
     for m in m_values:
-        profile = scaling_profile(config.n_in, m)
-        r_prime = np.atleast_1d(profile.r_prime(grid))
-        p = np.atleast_1d(profile.p(grid))
-        for i, r in enumerate(grid):
-            rows.append(
-                [str(config.n_in), str(m), _fmt(r), _fmt(r_prime[i]), _fmt(p[i])]
-            )
+        rows.extend(_curve_rows([], config.n_in, m, config))
     return rows
 
 
@@ -149,18 +155,11 @@ def figure2_rows(config: RunConfig) -> list[list[str]]:
     input copies, ``M`` from 5 to 9 (curves fall as ``M`` grows).
     """
     rows = [["panel", "n", "m", "r", "r_prime", "p"]]
-    grid = np.linspace(config.r_min, config.r_max, config.steps)
     panels = [("left", [(n, n + 1) for n in range(10, 101, 10)]),
               ("right", [(5, m) for m in range(5, 10)])]
     for panel, pairs in panels:
         for n, m in pairs:
-            profile = scaling_profile(n, m)
-            r_prime = np.atleast_1d(profile.r_prime(grid))
-            p = np.atleast_1d(profile.p(grid))
-            for i, r in enumerate(grid):
-                rows.append(
-                    [panel, str(n), str(m), _fmt(r), _fmt(r_prime[i]), _fmt(p[i])]
-                )
+            rows.extend(_curve_rows([panel], n, m, config))
     return rows
 
 
@@ -177,11 +176,7 @@ def figure3_rows(config: RunConfig) -> list[list[str]]:
         if not adjacent.exists:
             rows.append([str(n), "none", "none"])
             continue
-        best = m_star(n, cap=config.cap)
-        if best.capped:
-            maximal = limiting_threshold(n, tol=config.tol)
-        else:
-            maximal = r_star(n, best.m_star, tol=config.tol).r_star
+        maximal = _maximal_threshold(n, config.tol, config.cap)
         rows.append([str(n), _fmt(1.0 - adjacent.r_star), _fmt(1.0 - maximal)])
     return rows
 
@@ -198,41 +193,38 @@ def verify_lines(config: RunConfig) -> tuple[list[str], bool]:
         coeffs = type(coeffs)(n, m, corrupted)
 
     lines = [f"verifying N={n} -> M={m} (seed {config.seed})"]
-    checks: list[tuple[str, float, float]] = []
-
     tp = validate_trace_preserving(coeffs)
-    checks.append(("coefficient_trace_preservation", tp.max_residual(), 1e-12))
-
+    checks = [CheckResult("coefficient_trace_preservation", tp.max_residual(), 1e-12)]
     report = verify_closed_form(n, m, emap, seed=config.seed, coefficients=coeffs)
-    checks.extend((c.name, c.deviation, c.tolerance) for c in report.checks)
+    checks.extend(report.checks)
 
     unitarity = 0.0
     for qubits in {n, m}:
         u = schur_isometry(qubits).matrix()
         unitarity = max(unitarity, float(np.max(np.abs(u.T @ u - np.eye(2**qubits)))))
-    checks.append(("schur_unitarity", unitarity, 1e-12))
-    checks.append(("symmetric_marginal", symmetric_marginal_deviation(2), 1e-12))
-    checks.append(("permutation_twirl", permutation_twirl_deviation(min(m, 4)), 1e-12))
+    checks.append(CheckResult("schur_unitarity", unitarity, 1e-12))
+    checks.append(CheckResult("symmetric_marginal", symmetric_marginal_deviation(2), 1e-12))
+    checks.append(
+        CheckResult("permutation_twirl", permutation_twirl_deviation(min(m, 4)), 1e-12)
+    )
 
-    failures = []
-    for name, deviation, tolerance in checks:
-        ok = deviation < tolerance
-        if not ok:
-            failures.append(name)
+    failures = [c.name for c in checks if not c.passed]
+    for c in checks:
         lines.append(
-            f"{name}: deviation {deviation:.3e} (tolerance {tolerance:g}) "
-            + ("PASS" if ok else "FAIL")
+            f"{c.name}: deviation {c.deviation:.3e} (tolerance {c.tolerance:g}) "
+            + ("PASS" if c.passed else "FAIL")
         )
 
     if n == 1:
-        profile = scaling_profile(n, m)
+        # p stays below 1 on the whole grid: the peak is the deviation
         grid = np.linspace(0.0, 1.0, _NO_BROADCAST_GRID)
-        margin = 1.0 - float(np.max(profile.p(grid)))
-        if margin > 0.0:
-            lines.append(f"no-broadcasting confirmed (margin {margin:.6g} below p = 1)")
+        peak = float(np.max(scaling_profile(n, m).p(grid)))
+        no_broadcast = CheckResult("no_broadcasting", peak, 1.0)
+        if no_broadcast.passed:
+            lines.append(f"no-broadcasting confirmed (margin {1.0 - peak:.6g} below p = 1)")
         else:
-            failures.append("no_broadcasting")
-            lines.append(f"no_broadcasting: p reaches {1.0 - margin:.12g} FAIL")
+            failures.append(no_broadcast.name)
+            lines.append(f"no_broadcasting: p reaches {peak:.12g} FAIL")
 
     if failures:
         lines.append(f"FAIL: {len(failures)} of {len(checks)} checks: " + ", ".join(failures))

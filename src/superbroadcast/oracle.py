@@ -15,7 +15,6 @@ projections in descending order (highest weight first).
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Union
+from typing import Union
 
 __all__ = [
     "HalfInt",
@@ -262,8 +262,3 @@ def cg(
     if sign == 0:
         return 0.0
     return sign * math.sqrt(float(square))
-
-
-def spins(values: Iterable[SpinLike]) -> tuple[HalfInt, ...]:
-    """Coerce an iterable of numbers to a tuple of :class:`HalfInt`."""
-    return tuple(HalfInt.of(v) for v in values)

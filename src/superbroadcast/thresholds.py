@@ -16,7 +16,7 @@ from typing import Iterable, NamedTuple, Optional
 
 import numpy as np
 
-from .analysis import ScalingProfile, half_spin_scaling_at_zero, scaling_profile
+from .analysis import half_spin_scaling_at_zero, scaling_profile
 
 __all__ = [
     "GRID_STEPS",
@@ -79,30 +79,18 @@ class PowerLawFit(NamedTuple):
     prefactor: float
 
 
-def _scan_values(profile: ScalingProfile) -> tuple[np.ndarray, np.ndarray]:
-    """``p`` on the uniform grid ``k / GRID_STEPS``, n with the analytic
-    limit at ``r = 0`` and the exact endpoint value at ``r = 1``."""
-    rs = np.arange(GRID_STEPS + 1) / GRID_STEPS
-    ps = np.empty_like(rs)
-    ps[0] = profile.p_zero()
-    ps[1:] = profile.p(rs[1:])
-    return rs, ps
-
-
 def _has_superbroadcasting(n_in: int, m_out: int) -> bool:
     """Whether the optimal map reaches ``p(r) > 1`` somewhere on ``[0, 1]``.
 
-    The exact rational ``r -> 0`` limit of the half-output-spin map decides
-    most cases by continuity (and it lower-bounds the optimal map); the
-    grid scan settles the rest without assuming monotonicity in ``r``.
+    ``r = 0`` is decided by the exact rational ``r -> 0`` limit of the
+    half-output-spin map (the optimal map), never by its rounded float; the
+    grid scan over ``r > 0`` settles the rest without assuming monotonicity
+    in ``r``.
     """
     if half_spin_scaling_at_zero(n_in, m_out) > 1:
         return True
-    profile = scaling_profile(n_in, m_out)
-    if profile.p_zero() > 1.0:
-        return True
-    _, ps = _scan_values(profile)
-    return bool(np.any(ps > 1.0))
+    rs = np.arange(1, GRID_STEPS + 1) / GRID_STEPS
+    return bool(np.any(scaling_profile(n_in, m_out).p(rs) > 1.0))
 
 
 def r_star(n_in: int, m_out: int, tol: float = 1e-6) -> ThresholdResult:
@@ -115,19 +103,16 @@ def r_star(n_in: int, m_out: int, tol: float = 1e-6) -> ThresholdResult:
     """
     if not m_out > n_in >= 1:
         raise ValueError(f"need M > N >= 1, got N={n_in}, M={m_out}")
-    if tol < 1e-10:
+    if not tol >= 1e-10:
         raise ValueError(f"tolerance {tol} below the supported 1e-10")
     profile = scaling_profile(n_in, m_out)
-    rs, ps = _scan_values(profile)
+    rs = np.arange(GRID_STEPS + 1) / GRID_STEPS
+    ps = profile.p(rs)  # the analytic limit at r = 0, the exact value at r = 1
     above = ps >= 1.0
-    bracket = None
-    for k in range(GRID_STEPS - 1, -1, -1):
-        if above[k] and not above[k + 1]:
-            bracket = (rs[k], rs[k + 1])
-            break
-    if bracket is None or not np.any(ps > 1.0):
+    crossings = np.flatnonzero(above[:-1] & ~above[1:])
+    if crossings.size == 0 or not np.any(ps > 1.0):
         return ThresholdResult(n_in, m_out, None, 0.0)
-    lo, hi = bracket
+    lo, hi = rs[crossings[-1]], rs[crossings[-1] + 1]
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
         if profile.p(mid) >= 1.0:
@@ -178,6 +163,15 @@ def limiting_threshold(n_in: int, tol: float = 1e-6) -> float:
     return values[-1] + (values[-1] - values[-2])
 
 
+def _maximal_threshold(n_in: int, tol: float, cap: int) -> float:
+    """``r*(N, M*(N))``, or the ``M -> oo`` limit of ``r*`` when :func:`m_star`
+    runs into ``cap`` (the true ``M*`` is then at least ``cap``)."""
+    counts = m_star(n_in, cap=cap)
+    if counts.capped:
+        return limiting_threshold(n_in, tol)
+    return _threshold_or_raise(n_in, counts.m_star, tol)
+
+
 def asymptotic_fit(
     n_values: Iterable[int],
     curve: str = "adjacent",
@@ -205,13 +199,8 @@ def asymptotic_fit(
     gaps = []
     for n in ns:
         if curve == "adjacent":
-            threshold = _threshold_or_raise(n, n + 1, tol)
+            gaps.append(1.0 - _threshold_or_raise(n, n + 1, tol))
         else:
-            counts = m_star(n, cap=cap)
-            if counts.capped:
-                threshold = limiting_threshold(n, tol)
-            else:
-                threshold = _threshold_or_raise(n, counts.m_star, tol)
-        gaps.append(1.0 - threshold)
+            gaps.append(1.0 - _maximal_threshold(n, tol, cap))
     slope, intercept = np.polyfit(np.log(ns), np.log(gaps), 1)
     return PowerLawFit(slope=float(slope), prefactor=float(math.exp(intercept)))

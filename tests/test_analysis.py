@@ -178,11 +178,11 @@ def test_convex_evaluation_matches_extremal():
     for n, m in [(1, 2), (2, 3), (3, 4), (4, 5)]:
         emap = conjectured_optimal_map(n, m)
         coeffs = coefficients_for(emap)
-        for r in (0.2, 0.5, 0.8):
+        for r in (0.0, 0.2, 0.5, 0.8):
             a = single_copy_bloch(emap, r)
             b = single_copy_convex(coeffs, r)
-            assert_allclose(a.r_prime, b.r_prime, atol=1e-14)
-            assert_allclose(a.p, b.p, atol=1e-13)
+            # one evaluator serves both, so the numbers are identical
+            assert a == b
 
 
 def test_output_is_linear_in_the_channel():
@@ -196,6 +196,28 @@ def test_output_is_linear_in_the_channel():
             b, r
         ).r_prime
         assert_allclose(direct, parts, atol=1e-13)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 24), st.data())
+def test_optimal_scaling_factor_never_increases(n, data):
+    m = data.draw(st.integers(n, n + 59))
+    p = scaling_profile(n, m).p(np.linspace(0.0, 1.0, 257))
+    # N = 1 is flat in exact arithmetic; allow its rounding noise
+    assert np.all(np.diff(p) <= 1e-12)
+
+
+def test_nan_bloch_length_is_rejected():
+    emap = conjectured_optimal_map(4, 5)
+    nan = float("nan")
+    with pytest.raises(ValueError):
+        single_copy_bloch(emap, nan)
+    with pytest.raises(ValueError):
+        single_copy_convex(coefficients_for(emap), nan)
+    with pytest.raises(ValueError):
+        scaling_profile(4, 5).p(nan)
+    with pytest.raises(ValueError):
+        BlochCurve(emap).r_prime(np.array([0.5, nan]))
 
 
 def test_optimal_map_matches_half_spin_rule():

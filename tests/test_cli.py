@@ -84,6 +84,8 @@ def test_config_validation():
     with pytest.raises(ValueError):
         RunConfig("threshold", n_in=4, m_out=5, tol=-1e-6).validate()
     with pytest.raises(ValueError):
+        RunConfig("threshold", n_in=4, m_out=5, tol=float("nan")).validate()
+    with pytest.raises(ValueError):
         RunConfig("mstar", n_in=0).validate()
     RunConfig("threshold", n_in=4, m_out=5).validate()
 
@@ -109,6 +111,7 @@ def test_cli_invalid_arguments_exit_2():
     assert run_cli("nonsense").returncode == 2
     # each subcommand takes only the shared flags it reads
     assert run_cli("threshold", "--n", "4", "--m", "5", "--cap", "5").returncode == 2
+    assert run_cli("threshold", "--n", "4", "--m", "5", "--tol", "nan").returncode == 2
     # sizes whose multiplicities overflow a float exit cleanly, no traceback
     huge = run_cli("threshold", "--n", "1100", "--m", "1101")
     assert huge.returncode == 2

@@ -1,0 +1,80 @@
+"""Byte and name stability: the reference CLI digests and the public API."""
+
+import hashlib
+import json
+from pathlib import Path
+
+import pytest
+
+import superbroadcast
+from superbroadcast import cli
+
+# SHA-256 of fixed-argument CLI outputs, keyed by the argument string; the
+# benchmark harness checks the same file.
+GOLDEN = json.loads(
+    (Path(__file__).resolve().parents[1] / "perfbench" / "golden.json").read_text()
+)
+
+PUBLIC_API = [
+    "__version__",
+    "HalfInt",
+    "cg",
+    "cg_square",
+    "multiplicity",
+    "spin_range",
+    "ChannelCoeffs",
+    "ExtremalMap",
+    "SearchSpaceTooLargeError",
+    "TracePreservationReport",
+    "coefficients_for",
+    "conjectured_optimal_map",
+    "enumerate_extremal",
+    "extremal_count",
+    "mix",
+    "validate_trace_preserving",
+    "BlochCurve",
+    "BlochReport",
+    "InputWeights",
+    "OptimalMapResult",
+    "ScalingProfile",
+    "half_spin_scaling_at_zero",
+    "input_weights",
+    "optimal_map",
+    "perfect_broadcast_channel",
+    "scaling_profile",
+    "single_copy_bloch",
+    "single_copy_convex",
+    "MStarResult",
+    "PowerLawFit",
+    "ThresholdResult",
+    "asymptotic_fit",
+    "limiting_threshold",
+    "m_star",
+    "r_star",
+    "SchurIsometry",
+    "SizeCapError",
+    "VerificationReport",
+    "apply_channel",
+    "build_choi",
+    "partial_trace",
+    "schur_isometry",
+    "single_copy_marginal",
+    "verify_closed_form",
+]
+
+
+def test_golden_digests_cover_seven_outputs():
+    assert len(GOLDEN) == 7
+
+
+@pytest.mark.parametrize("argv", sorted(GOLDEN))
+def test_cli_output_matches_golden_digest(argv, tmp_path):
+    target = tmp_path / "out.csv"
+    assert cli.main(argv.split() + ["--out", str(target)]) == 0
+    assert hashlib.sha256(target.read_bytes()).hexdigest() == GOLDEN[argv]
+
+
+def test_public_api_is_unchanged():
+    assert superbroadcast.__all__ == PUBLIC_API
+    for name in PUBLIC_API:
+        assert hasattr(superbroadcast, name)

@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from superbroadcast.su2core import (
@@ -152,6 +154,36 @@ def test_cg_orthogonality_between_coupled_states():
                         )
                         expected = 1.0 if Ja == Jb else 0.0
                         assert abs(total - expected) < 1e-12
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(-200, 200), st.integers(-200, 200), st.integers(-50, 50))
+def test_halfint_arithmetic_agrees_with_fraction(da, db, k):
+    a, b = HalfInt(da), HalfInt(db)
+    fa, fb = Fraction(da, 2), Fraction(db, 2)
+    assert (a + b).as_fraction() == fa + fb
+    assert (a - b).as_fraction() == fa - fb
+    assert (a + k).as_fraction() == (k + a).as_fraction() == fa + k
+    assert (a - k).as_fraction() == fa - k
+    assert (k - a).as_fraction() == k - fa
+    assert (-a).as_fraction() == -fa
+    assert abs(a).as_fraction() == abs(fa)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 12), st.integers(0, 12), st.data())
+def test_cg_orthogonality_property(dj1, dj2, data):
+    j1, j2 = HalfInt(dj1), HalfInt(dj2)
+    couplings = coupled_range(j1, j2)
+    Ja = data.draw(st.sampled_from(couplings))
+    Jb = data.draw(st.sampled_from(couplings))
+    M = data.draw(st.sampled_from(projections(min(Ja, Jb))))
+    total = sum(
+        cg(j1, m1, j2, M - m1, Ja, M) * cg(j1, m1, j2, M - m1, Jb, M)
+        for m1 in projections(j1)
+        if abs((M - m1).doubled) <= j2.doubled
+    )
+    assert abs(total - (1.0 if Ja == Jb else 0.0)) < 1e-12
 
 
 def _lowering_matrix(j: HalfInt) -> np.ndarray:

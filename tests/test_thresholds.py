@@ -35,6 +35,8 @@ def test_threshold_argument_validation():
         r_star(0, 5)
     with pytest.raises(ValueError):
         r_star(4, 5, tol=1e-12)  # tighter than the supported resolution
+    with pytest.raises(ValueError):
+        r_star(4, 5, tol=float("nan"))  # fails every comparison of the bisection
 
 
 def test_threshold_bisection_postcondition():
