@@ -250,6 +250,13 @@ class BlochCurve:
     Precomputes the coefficient that multiplies each input weight
     ``w(l, n)``; evaluating the curve is then a single weighted power sum,
     cheap enough for dense threshold grids at hundreds of qubits.
+
+    ``w(l, n)`` has only ``n_in + 1`` distinct values, so each point gets
+    one power table ``r_+^k r_-^(n_in-k)`` that is gathered onto the
+    coefficients.  The gathered matrix must stay C-ordered: the same
+    numbers in F order take another BLAS kernel in the final product,
+    whose last bits differ.  Results also depend on how many points are
+    evaluated together, so callers keep their batches.
     """
 
     def __init__(self, channel: Union[ExtremalMap, ChannelCoeffs]):
@@ -269,7 +276,6 @@ class BlochCurve:
         self._coeff = np.concatenate(coeff_parts)
         self._dn = np.concatenate(dn_parts)
         self._exp_plus = (n_in - self._dn) // 2
-        self._exp_minus = (n_in + self._dn) // 2
 
     def r_prime(self, r: Union[float, np.ndarray]) -> Union[float, np.ndarray]:
         """Output Bloch length at input length ``r`` (scalar or array)."""
@@ -278,7 +284,10 @@ class BlochCurve:
             raise ValueError("Bloch length outside [0, 1]")
         r_plus = (1.0 + rr) / 2.0
         r_minus = (1.0 - rr) / 2.0
-        weights = r_plus[..., None] ** self._exp_plus * r_minus[..., None] ** self._exp_minus
+        k = np.arange(self.n_in + 1)
+        table = r_plus[..., None] ** k * r_minus[..., None] ** k[::-1]
+        # np.take, not fancy indexing, which would gather in F order
+        weights = np.take(table, self._exp_plus, axis=-1)
         value = weights @ self._coeff
         # The fully mixed input maps to fully mixed outputs; pin the exact
         # zero rather than the cancellation residue of the power sum.

@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
+from functools import lru_cache
 from typing import Iterable, NamedTuple, Optional
 
 import numpy as np
@@ -31,6 +33,9 @@ __all__ = [
 
 # Resolution of the initial sign-change scan over r in [0, 1].
 GRID_STEPS = 512
+
+_GRID = np.arange(GRID_STEPS + 1) / GRID_STEPS
+_GRID.flags.writeable = False
 
 
 @dataclass(frozen=True)
@@ -79,6 +84,18 @@ class PowerLawFit(NamedTuple):
     prefactor: float
 
 
+@lru_cache(maxsize=256)
+def _grid_scan(n_in: int, m_out: int) -> np.ndarray:
+    """``p`` of the optimal map on the ``GRID_STEPS + 1`` points of ``[0, 1]``.
+
+    Computed once per ``(N, M)`` and shared by :func:`r_star` and the
+    ``M*`` walk; read-only, because every caller receives the same array.
+    """
+    ps = scaling_profile(n_in, m_out).p(_GRID)  # the analytic limit at r = 0
+    ps.flags.writeable = False
+    return ps
+
+
 def _has_superbroadcasting(n_in: int, m_out: int) -> bool:
     """Whether the optimal map reaches ``p(r) > 1`` somewhere on ``[0, 1]``.
 
@@ -89,8 +106,7 @@ def _has_superbroadcasting(n_in: int, m_out: int) -> bool:
     """
     if half_spin_scaling_at_zero(n_in, m_out) > 1:
         return True
-    rs = np.arange(1, GRID_STEPS + 1) / GRID_STEPS
-    return bool(np.any(scaling_profile(n_in, m_out).p(rs) > 1.0))
+    return bool(np.any(_grid_scan(n_in, m_out)[1:] > 1.0))
 
 
 def r_star(n_in: int, m_out: int, tol: float = 1e-6) -> ThresholdResult:
@@ -105,14 +121,13 @@ def r_star(n_in: int, m_out: int, tol: float = 1e-6) -> ThresholdResult:
         raise ValueError(f"need M > N >= 1, got N={n_in}, M={m_out}")
     if not tol >= 1e-10:
         raise ValueError(f"tolerance {tol} below the supported 1e-10")
-    profile = scaling_profile(n_in, m_out)
-    rs = np.arange(GRID_STEPS + 1) / GRID_STEPS
-    ps = profile.p(rs)  # the analytic limit at r = 0, the exact value at r = 1
+    ps = _grid_scan(n_in, m_out)
     above = ps >= 1.0
     crossings = np.flatnonzero(above[:-1] & ~above[1:])
     if crossings.size == 0 or not np.any(ps > 1.0):
         return ThresholdResult(n_in, m_out, None, 0.0)
-    lo, hi = rs[crossings[-1]], rs[crossings[-1] + 1]
+    profile = scaling_profile(n_in, m_out)
+    lo, hi = _GRID[crossings[-1]], _GRID[crossings[-1] + 1]
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
         if profile.p(mid) >= 1.0:
@@ -129,11 +144,20 @@ def m_star(n_in: int, cap: int = 200) -> MStarResult:
     is not known to be monotone in ``M``, so no bisection over ``M``).
     Stops at the first refuted ``M``; if none is refuted up to ``cap`` the
     result is flagged as capped, meaning "at least ``cap``".
+
+    ``p(0) = (M+2)/M * K_N`` with ``K_N`` rational and independent of ``M``
+    (:func:`superbroadcast.analysis.half_spin_scaling_at_zero`).  When
+    ``K_N >= 1`` presence holds at every ``M``, so the capped result is
+    returned without walking.  That is every ``N >= 6``: ``K_N`` is 2/3 of
+    the mean input spin, which grows with ``N``, and ``K_6 = 49/48``.
     """
     if n_in < 1:
         raise ValueError(f"need N >= 1, got {n_in}")
     if cap <= n_in:
         raise ValueError(f"cap {cap} leaves no output count above N={n_in}")
+    limit = half_spin_scaling_at_zero(n_in, n_in + 1) * Fraction(n_in + 1, n_in + 3)
+    if limit >= 1:
+        return MStarResult(n_in, cap, cap, capped=True)
     last_good = n_in
     for m_out in range(n_in + 1, cap + 1):
         if not _has_superbroadcasting(n_in, m_out):

@@ -185,6 +185,53 @@ def test_convex_evaluation_matches_extremal():
             assert a == b
 
 
+def _expanded_r_prime(curve, r):
+    """``r'`` with two powers per coefficient, the formula the table replaces."""
+    rr = np.asarray(r, dtype=float)
+    r_plus = (1.0 + rr) / 2.0
+    r_minus = (1.0 - rr) / 2.0
+    exp_plus = (curve.n_in - curve._dn) // 2
+    exp_minus = (curve.n_in + curve._dn) // 2
+    weights = r_plus[..., None] ** exp_plus * r_minus[..., None] ** exp_minus
+    return np.where(rr == 0.0, 0.0, weights @ curve._coeff)
+
+
+def test_power_table_is_bit_identical_to_expanded_powers(monkeypatch):
+    gathered = []
+    take = np.take
+
+    def recording_take(*args, **kwargs):
+        out = take(*args, **kwargs)
+        gathered.append(out)
+        return out
+
+    monkeypatch.setattr(np, "take", recording_take)
+    maps = enumerate_extremal(3, 5)
+    pairs = [(1, 2), (2, 8), (5, 6), (17, 23), (24, 25), (25, 26), (61, 62), (120, 126), (200, 201)]
+    curves = [scaling_profile(n, m).curve for n, m in pairs]
+    curves.append(BlochCurve(mix(coefficients_for(maps[3]), coefficients_for(maps[-2]), 0.3)))
+    rng = np.random.default_rng(11)
+    specials = [0.0, 1.0, 1 - 10**-5.5]  # 1 - 10**-5.5 underflows the high powers
+    batches = [np.array([r]) for r in specials]
+    for size in (16, 101, 513):
+        rs = rng.random(size)
+        rs[[0, size // 2, -1]] = specials
+        batches.append(rs)
+    for curve in curves:
+        for r in specials:
+            assert curve.r_prime(r) == float(_expanded_r_prime(curve, r))
+        for rs in batches:
+            assert np.array_equal(curve.r_prime(rs), _expanded_r_prime(curve, rs))
+            nonzero = rs != 0
+            expected = np.full(rs.size, curve.p_zero())
+            expected[nonzero] = _expanded_r_prime(curve, rs[nonzero]) / rs[nonzero]
+            assert np.array_equal(curve.p(rs), expected)
+    # a gather by fancy indexing would be F-ordered, and the product would
+    # take another BLAS kernel with other last bits
+    batched = [w for w in gathered if w.ndim == 2]
+    assert batched and all(w.flags.c_contiguous for w in batched)
+
+
 def test_output_is_linear_in_the_channel():
     maps = enumerate_extremal(3, 4)
     a, b = coefficients_for(maps[0]), coefficients_for(maps[-1])

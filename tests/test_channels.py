@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from superbroadcast.channels import (
@@ -40,6 +40,7 @@ def test_extremal_count_small_registers():
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(1, 80), st.integers(1, 80))
+@example(2000, 2001)  # about a thousand factors: the balanced product tree
 def test_extremal_count_matches_direct_double_sum(n, m):
     expected = 1
     for l in spin_range(n):

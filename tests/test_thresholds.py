@@ -3,9 +3,14 @@
 import numpy as np
 import pytest
 
+from superbroadcast import thresholds
 from superbroadcast.analysis import scaling_profile
 from superbroadcast.thresholds import (
+    GRID_STEPS,
+    MStarResult,
     PowerLawFit,
+    _grid_scan,
+    _has_superbroadcasting,
     asymptotic_fit,
     limiting_threshold,
     m_star,
@@ -76,6 +81,63 @@ def test_m_star_counts():
     capped = m_star(6, cap=50)
     assert capped.capped
     assert capped.m_star == 50
+
+
+def test_m_star_matches_explicit_walk():
+    for n in range(1, 15):
+        for cap in sorted({n + 1, n + 5, 40, 120}):
+            if cap <= n:
+                continue
+            last, capped = n, True
+            for m in range(n + 1, cap + 1):
+                if not _has_superbroadcasting(n, m):
+                    capped = False
+                    break
+                last = m
+            assert m_star(n, cap=cap) == MStarResult(n, last, cap, capped)
+
+
+def test_m_star_answers_unbounded_inputs_without_walking(monkeypatch):
+    def refuse(n, m):
+        raise AssertionError(f"walked to M={m}")
+
+    # p(0) = (M+2)/M * K_N and K_6 = 196/192 >= 1: present at every M
+    monkeypatch.setattr(thresholds, "_has_superbroadcasting", refuse)
+    assert m_star(6, cap=10**9) == MStarResult(6, 10**9, 10**9, True)
+    assert m_star(59, cap=60) == MStarResult(59, 60, 60, True)
+
+
+def test_grid_scan_runs_once_per_pair():
+    _grid_scan.cache_clear()
+    # 4 -> 8 has p(0) < 1, so both r_star and the M* walk read the scan
+    assert not r_star(4, 8).exists
+    assert not r_star(4, 8).exists
+    assert m_star(4, cap=8).m_star == 7
+    info = _grid_scan.cache_info()
+    assert (info.misses, info.hits) == (1, 2)
+    ps = _grid_scan(4, 8)
+    assert not ps.flags.writeable
+    with pytest.raises(ValueError):
+        ps[0] = 2.0
+
+
+def test_r_star_matches_uncached_scan():
+    grid = np.arange(GRID_STEPS + 1) / GRID_STEPS
+    for n in (2, 4, 5, 7, 12, 19, 26, 33, 40):
+        for m in (n + 1, n + 3, 2 * n + 1):
+            profile = scaling_profile(n, m)
+            ps = profile.p(grid)
+            above = ps >= 1.0
+            crossings = np.flatnonzero(above[:-1] & ~above[1:])
+            result = r_star(n, m)
+            if crossings.size == 0 or not np.any(ps > 1.0):
+                assert not result.exists
+                continue
+            lo, hi = grid[crossings[-1]], grid[crossings[-1] + 1]
+            while hi - lo > 1e-6:
+                mid = 0.5 * (lo + hi)
+                lo, hi = (mid, hi) if profile.p(mid) >= 1.0 else (lo, mid)
+            assert (result.r_star, result.bracket_width) == (0.5 * (lo + hi), hi - lo)
 
 
 def test_limiting_threshold_bounds():
