@@ -13,7 +13,8 @@ Subcommands::
 All numeric CSV fields use 12 significant digits.  Output is assembled in
 memory, written to a temporary file beside the target and renamed over it,
 so an error never leaves a partial or truncated file.
-Exit codes: 0 success, 1 verification failure, 2 invalid arguments.
+Exit codes: 0 success, 1 verification failure, 2 invalid arguments or an
+unwritable output file.
 """
 
 from __future__ import annotations
@@ -215,8 +216,9 @@ def verify_lines(config: RunConfig) -> tuple[list[str], bool]:
             + ("PASS" if c.passed else "FAIL")
         )
 
-    if n == 1:
-        # p stays below 1 on the whole grid: the peak is the deviation
+    if n == 1 and m > 1:
+        # the no-broadcasting theorem (M > N = 1): p stays below 1 on the
+        # whole grid, and the peak is the deviation
         grid = np.linspace(0.0, 1.0, _NO_BROADCAST_GRID)
         peak = float(np.max(scaling_profile(n, m).p(grid)))
         no_broadcast = CheckResult("no_broadcasting", peak, 1.0)
@@ -344,14 +346,17 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         if config.command == "verify":
             lines, ok = verify_lines(config)
-            _write(config.output_path, "\n".join(lines) + "\n")
-            return 0 if ok else 1
-        rows = _BUILDERS[config.command](config)
-        _write(config.output_path, "\n".join(",".join(row) for row in rows) + "\n")
-        return 0
+            text, code = "\n".join(lines) + "\n", 0 if ok else 1
+        else:
+            rows = _BUILDERS[config.command](config)
+            text, code = "\n".join(",".join(row) for row in rows) + "\n", 0
     except (SizeCapError, ValueError, OverflowError) as exc:
         parser.error(str(exc))
-    return 2  # unreachable; parser.error raises SystemExit
+    try:
+        _write(config.output_path, text)
+    except OSError as exc:
+        parser.error(f"cannot write {config.output_path}: {exc.strerror or exc}")
+    return code
 
 
 if __name__ == "__main__":

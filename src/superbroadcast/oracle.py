@@ -7,6 +7,13 @@ input states, and reduced by partial traces.  Agreement of the resulting
 marginals with :mod:`superbroadcast.analysis` is the package's primary
 correctness evidence.
 
+:func:`verify_closed_form` reads the dense Choi operator ``S`` a fixed
+number of times, whatever the number of probes: the Hermiticity and
+positivity checks and the three channel applications of the covariance
+check read all of it; the trace-preservation check and the probe
+marginals read diagonal slices (the marginals come from one reduced Choi
+operator per probed output position, contracted with every probe input).
+
 Conventions: computational ``|0>`` is spin up along z; register tensor
 factors are ordered output (x) input in Choi operators; Schur blocks store
 projections in descending order (highest weight first).
@@ -64,6 +71,9 @@ class SizeCapError(RuntimeError):
 
 
 def kron_power(a: np.ndarray, n: int) -> np.ndarray:
+    """``a (x) a (x) ... (x) a`` with ``n >= 1`` factors."""
+    if n < 1:
+        raise ValueError(f"need at least one tensor factor, got {n}")
     out = a
     for _ in range(n - 1):
         out = np.kron(out, a)
@@ -271,15 +281,59 @@ def apply_channel(choi: DenseOperator, rho_in: DenseOperator) -> DenseOperator:
     if 2**n_in != dim_in:
         raise ValueError(f"input dimension {dim_in} is not a power of two")
     dim_out = dim_total // dim_in
-    flip = kron_power(_FLIP, n_in)
-    rho_tilde = flip @ rho_in.T @ flip.T
-    # out[x, y] = sum_{a,b} S[x b, y a] rho~[a, b]: one batched matrix
-    # product over (x, b) contracts the real and imaginary parts of rho~
-    # together, so a real Choi operator is never cast to complex.
-    parts = np.stack([rho_tilde.T.real, rho_tilde.T.imag], axis=-1)
     choi4 = choi.reshape(dim_out, dim_in, dim_out, dim_in)
+    return _contract(choi4, _spin_flipped(rho_in, n_in))
+
+
+def _spin_flipped(rho_in: DenseOperator, n_in: int) -> DenseOperator:
+    """``rho~ = C rho^T C^T`` with ``C = (i sigma_y)^{(x) N}``."""
+    flip = kron_power(_FLIP, n_in)
+    return flip @ rho_in.T @ flip.T
+
+
+def _contract(choi4: np.ndarray, rho_tilde: DenseOperator) -> DenseOperator:
+    """``out[x, y] = sum_{a,b} S[x b, y a] rho~[a, b]`` for a real ``S``
+    shaped ``(out, in, out, in)``.
+
+    One batched matrix product over ``(x, b)`` contracts the real and
+    imaginary parts of ``rho~`` together, so ``S`` is never cast to complex.
+    """
+    parts = np.stack([rho_tilde.T.real, rho_tilde.T.imag], axis=-1)
     out = np.matmul(choi4, parts).sum(axis=1)
     return out[..., 0] + 1j * out[..., 1]
+
+
+def _reduced_choi(choi: DenseOperator, n_in: int, m_out: int, which: int) -> np.ndarray:
+    """Choi operator of the channel followed by the trace over every output
+    qubit but ``which``, shaped ``(2, 2^N, 2, 2^N)``.
+
+    ``T[s, b, t, a] = sum_{u,v} S[(u s v) b, (u t v) a]``, where ``u`` and
+    ``v`` run over the output qubits before and after ``which``; the
+    summed entries form a diagonal view of ``S``, so only ``2 2^M 4^N`` of
+    its ``4^(M+N)`` entries are read.  ``_contract(T, rho~)`` is then the
+    single-copy marginal of output ``which``.
+    """
+    before, after = 2**which, 2 ** (m_out - which - 1)
+    eight = choi.reshape(before, 2, after, 2**n_in, before, 2, after, 2**n_in)
+    return np.einsum("usvbutva->sbta", eight)
+
+
+def _rotate_rows(u: np.ndarray, rho: DenseOperator) -> DenseOperator:
+    """``u^{(x) M} @ rho``, one row qubit at a time (O(M 4^M))."""
+    dim, cols = rho.shape
+    out = rho
+    before = 1
+    while before < dim:
+        after = dim // (2 * before)
+        out = np.matmul(u, out.reshape(before, 2, after * cols)).reshape(dim, cols)
+        before *= 2
+    return out
+
+
+def _rotate(u: np.ndarray, rho: DenseOperator) -> DenseOperator:
+    """``U rho U^H`` with ``U = u^{(x) M}``, without building ``U``: the
+    column side is the row rotation of ``(U rho)^H``."""
+    return _rotate_rows(u, _rotate_rows(u, rho).conj().T).conj().T
 
 
 # ---------------------------------------------------------------------------
@@ -427,7 +481,8 @@ def _positivity_deviation(choi: DenseOperator) -> float:
         members = np.flatnonzero(charge == value)
         band = choi[members]
         lowest = min(lowest, float(np.linalg.eigvalsh(band[:, members])[0]))
-        outside = np.abs(band)
+        # band is a private gather, so its magnitude can overwrite it
+        outside = np.abs(band, out=band)
         outside[:, members] = 0.0
         off_rows = max(off_rows, float(outside.sum(axis=1).max()))
         off_cols += outside.sum(axis=0)
@@ -453,6 +508,13 @@ def verify_closed_form(
     output positions.  Finally conjugates by seeded Haar-random collective
     rotations to confirm covariance.
 
+    Only the Hermiticity and positivity checks and the three covariance
+    applications (one reference output, two rotated inputs) read all of
+    the Choi operator.  The probe marginals at output positions ``0``,
+    ``M//2`` and ``M-1`` come from one reduced Choi operator per position
+    (the trace over the other outputs done first), and the output side of
+    the covariance check is rotated one qubit at a time.
+
     ``coefficients`` overrides the map's own weights (normally left at
     ``None``); a corrupted set makes the trace-preservation and closed-form
     checks report their deviations honestly.
@@ -476,6 +538,10 @@ def verify_closed_form(
     tp_dev = float(np.max(np.abs(trace_out - np.eye(2**n_in))))
     psd_dev = _positivity_deviation(choi)
 
+    # Probe marginals: each position's reduced Choi operator is formed once
+    # and contracted with every probe input.
+    positions = sorted({0, m_out // 2, m_out - 1})
+    reduced = [_reduced_choi(choi, n_in, m_out, which) for which in positions]
     parallel_dev = 0.0
     transverse_dev = 0.0
     trace_dev = 0.0
@@ -484,12 +550,10 @@ def verify_closed_form(
         expected = single_copy_bloch(emap, r).r_prime
         for axis in axes:
             axis = np.asarray(axis, dtype=float)
-            rho_out = apply_channel(choi, product_input(n_in, r, axis))
-            trace_dev = max(trace_dev, abs(float(np.real(np.trace(rho_out))) - 1.0))
-            marginals = [
-                single_copy_marginal(rho_out, which)
-                for which in {0, m_out // 2, m_out - 1}
-            ]
+            rho_tilde = _spin_flipped(product_input(n_in, r, axis), n_in)
+            marginals = [_contract(t, rho_tilde) for t in reduced]
+            for marginal in marginals:
+                trace_dev = max(trace_dev, abs(float(np.real(np.trace(marginal))) - 1.0))
             for a, b in itertools.combinations(marginals, 2):
                 uniform_dev = max(uniform_dev, float(np.max(np.abs(a - b))))
             bloch = bloch_vector(marginals[0])
@@ -505,9 +569,8 @@ def verify_closed_form(
     for _ in range(2):
         u = random_su2(rng)
         u_in = kron_power(u, n_in)
-        u_out = kron_power(u, m_out)
         rotated_first = apply_channel(choi, u_in @ base @ u_in.conj().T)
-        rotated_last = u_out @ reference @ u_out.conj().T
+        rotated_last = _rotate(u, reference)
         covariance_dev = max(
             covariance_dev, float(np.max(np.abs(rotated_first - rotated_last)))
         )

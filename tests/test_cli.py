@@ -103,7 +103,7 @@ def test_cli_mstar_sentinel():
     assert result.stdout.splitlines()[1] == "6,>=60"
 
 
-def test_cli_invalid_arguments_exit_2():
+def test_cli_invalid_arguments_exit_2(tmp_path):
     assert run_cli("threshold", "--n", "4").returncode == 2  # missing --m
     assert run_cli("threshold", "--n", "4", "--m", "4").returncode == 2
     assert run_cli("scaling", "--n", "4", "--m", "5", "--steps", "1").returncode == 2
@@ -116,6 +116,13 @@ def test_cli_invalid_arguments_exit_2():
     huge = run_cli("threshold", "--n", "1100", "--m", "1101")
     assert huge.returncode == 2
     assert "Traceback" not in huge.stderr
+    # an output directory that does not exist: one message, no staging file
+    target = tmp_path / "missing" / "x.csv"
+    unwritable = run_cli("threshold", "--n", "4", "--m", "5", "--out", str(target))
+    assert unwritable.returncode == 2
+    assert "Traceback" not in unwritable.stderr
+    assert "cannot write" in unwritable.stderr
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_cli_error_leaves_no_partial_file(tmp_path):
@@ -183,3 +190,11 @@ def test_cli_verify_one_copy_reports_no_broadcasting():
     result = run_cli("verify", "--n", "1", "--m", "2")
     assert result.returncode == 0
     assert "no-broadcasting confirmed" in result.stdout
+
+
+def test_cli_verify_identity_map_passes():
+    # N = M = 1: the optimal map is the identity, so p = 1 is no violation
+    result = run_cli("verify", "--n", "1", "--m", "1")
+    assert result.returncode == 0
+    assert "PASS: all" in result.stdout
+    assert "no_broadcasting" not in result.stdout

@@ -16,7 +16,11 @@ from superbroadcast.channels import (
 )
 from superbroadcast.oracle import (
     SizeCapError,
+    _contract,
     _positivity_deviation,
+    _reduced_choi,
+    _rotate,
+    _spin_flipped,
     apply_channel,
     bloch_vector,
     build_choi,
@@ -236,6 +240,59 @@ def test_apply_channel_matches_einsum_contraction():
             assert np.max(np.abs(apply_channel(choi, rho) - expected)) < 1e-13
 
 
+def _random_state(rng, dim):
+    a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    rho = a @ a.conj().T
+    return rho / np.trace(rho)
+
+
+def test_qubitwise_rotation_matches_dense_product():
+    rng = np.random.default_rng(23)
+    for m in range(1, 10):
+        rho = _random_state(rng, 2**m)
+        u = random_su2(rng)
+        dense = kron_power(u, m)
+        expected = dense @ rho @ dense.conj().T
+        assert np.max(np.abs(_rotate(u, rho) - expected)) < 1e-13
+
+
+def test_reduced_choi_marginals_match_full_application():
+    # a random real operator has no output symmetry, so a wrong qubit
+    # position or index order shows; the optimal map's Choi operator too
+    rng = np.random.default_rng(29)
+    for n, m in [(1, 2), (2, 3), (3, 4), (2, 5)]:
+        dim = 2 ** (n + m)
+        operators = [
+            rng.normal(size=(dim, dim)),
+            build_choi(coefficients_for(conjectured_optimal_map(n, m))),
+        ]
+        for choi in operators:
+            for _ in range(2):
+                rho = _random_state(rng, 2**n)
+                rho_out = apply_channel(choi, rho)
+                for which in range(m):
+                    marginal = _contract(
+                        _reduced_choi(choi, n, m, which), _spin_flipped(rho, n)
+                    )
+                    expected = single_copy_marginal(rho_out, which)
+                    assert np.max(np.abs(marginal - expected)) < 1e-13
+
+
+def test_covariance_check_sees_a_non_covariant_channel(monkeypatch):
+    # sigma_x on output qubit 0 after the optimal map: still trace
+    # preserving and positive, but no longer covariant
+    n, m = 2, 3
+    emap = conjectured_optimal_map(n, m)
+    flip = np.kron(np.kron(oracle.PAULI_X.real, np.eye(2 ** (m - 1))), np.eye(2**n))
+    broken = flip @ build_choi(coefficients_for(emap)) @ flip
+    assert np.linalg.eigvalsh(broken)[0] > -1e-12
+    monkeypatch.setattr(oracle, "build_choi", lambda coeffs, cap: broken)
+    report = verify_closed_form(n, m, emap)
+    assert report.deviation("choi_trace_preserving") < 1e-12
+    assert "covariance" in [c.name for c in report.failures()]
+    assert report.deviation("covariance") > 1e-3
+
+
 def test_apply_channel_validates_shapes():
     choi = build_choi(coefficients_for(conjectured_optimal_map(1, 2)))
     with pytest.raises(ValueError):
@@ -296,6 +353,9 @@ def test_kron_power():
     assert_allclose(kron_power(x, 1), x)
     assert kron_power(x, 3).shape == (8, 8)
     assert_allclose(kron_power(np.eye(2), 4), np.eye(16))
+    for n in (0, -1):
+        with pytest.raises(ValueError):
+            kron_power(2.0 * np.eye(2), n)
 
 
 def test_verify_closed_form_passes_on_valid_maps():
