@@ -341,6 +341,20 @@ def single_copy_convex(coeffs: ChannelCoeffs, r: float) -> BlochReport:
     return BlochCurve(coeffs).report(r)
 
 
+@lru_cache(maxsize=256)
+def _zero_slope(n_in: int) -> Fraction:
+    """``K_N = lim_{r -> 0} F_N(r)/r``, so that ``p(0) = (M+2)/M * K_N``.
+
+    For ``M >= N`` the half-output-spin map has ``s = -l(M+2)`` in every
+    sector, so ``r' = (M+2)/M * F_N(r)`` with ``F_N`` free of ``M``.
+    ``K_N = (2/3) E[l]`` under the maximally mixed input, and each added
+    qubit raises ``E[l]`` by ``E[1/(2(2l+1))] > 0``, so ``K_N`` strictly
+    increases with ``N`` (``K_5 = 11/12 < 1 <= K_6 = 49/48``).
+    """
+    weighted = sum(l.doubled * l.dim * multiplicity(n_in, l) for l in spin_range(n_in))
+    return Fraction(weighted, 3 * 2**n_in)
+
+
 def half_spin_scaling_at_zero(n_in: int, m_out: int) -> Fraction:
     """Exact ``r -> 0`` scaling limit of the half-output-spin map.
 
@@ -350,7 +364,7 @@ def half_spin_scaling_at_zero(n_in: int, m_out: int) -> Fraction:
     ``J = M/2 - l`` equals ``-l(M+2)/3``.  The limit of ``r'/r`` then
     reduces to the rational number
 
-        p(0) = (M+2) / (3 M 2^N) * sum_l 2l (2l+1) d_l ,
+        p(0) = (M+2) / (3 M 2^N) * sum_l 2l (2l+1) d_l = (M+2)/M * K_N ,
 
     a closed form this function returns exactly.  It must (and does) agree
     with :meth:`BlochCurve.p_zero` of the conjectured map; requires
@@ -358,10 +372,7 @@ def half_spin_scaling_at_zero(n_in: int, m_out: int) -> Fraction:
     """
     if m_out < n_in:
         raise ValueError(f"need M >= N, got N={n_in}, M={m_out}")
-    weighted = sum(
-        l.doubled * l.dim * multiplicity(n_in, l) for l in spin_range(n_in)
-    )
-    return Fraction((m_out + 2) * weighted, 3 * m_out * 2**n_in)
+    return Fraction(m_out + 2, m_out) * _zero_slope(n_in)
 
 
 # ---------------------------------------------------------------------------

@@ -167,8 +167,9 @@ def figure2_rows(config: RunConfig) -> list[list[str]]:
 def figure3_rows(config: RunConfig) -> list[list[str]]:
     """Threshold gaps ``1 - r*`` for adjacent and maximal output counts.
 
-    The second column uses ``M = N+1``; the third uses ``M = M*(N)``, or the
-    extrapolated ``M -> oo`` limit once ``M*`` exceeds the search cap.
+    The second column uses ``M = N+1``; the third uses the exact
+    ``M = M*(N)``, or the extrapolated ``M -> oo`` limit where ``M*`` is
+    unbounded (``N >= 6``).
     """
     lo, hi = config.n_range if config.n_range is not None else (4, 12)
     rows = [["n", "gap_adjacent", "gap_maximal"]]
@@ -177,7 +178,7 @@ def figure3_rows(config: RunConfig) -> list[list[str]]:
         if not adjacent.exists:
             rows.append([str(n), "none", "none"])
             continue
-        maximal = _maximal_threshold(n, config.tol, config.cap)
+        maximal = _maximal_threshold(n, config.tol)
         rows.append([str(n), _fmt(1.0 - adjacent.r_star), _fmt(1.0 - maximal)])
     return rows
 
@@ -280,7 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("mstar", "largest output count with p(0) > 1")
     p.add_argument("--n", dest="n_in", type=int, required=True)
-    p.add_argument("--cap", type=int, default=200, help="largest output count searched")
+    p.add_argument("--cap", type=int, default=200, help="print >=CAP from this count up")
 
     p = add("optimal-map", "sector table of the argmax extremal map")
     p.add_argument("--n", dest="n_in", type=int, required=True)
@@ -296,7 +297,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-range", dest="n_range", type=_parse_range,
                    metavar="A..B", default=(4, 12))
     p.add_argument("--tol", type=float, default=1e-6, help="bisection tolerance")
-    p.add_argument("--cap", type=int, default=200, help="largest output count searched")
 
     p = add("verify", "dense checks of the closed forms")
     p.add_argument("--n", dest="n_in", type=int, required=True)

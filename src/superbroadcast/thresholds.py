@@ -2,23 +2,22 @@
 
 For ``M > N`` output copies the scaling factor ``p(r)`` of the optimal
 broadcasting channel exceeds 1 only below some input purity ``r*(N, M)``
-(when it exceeds 1 at all).  This module locates those thresholds by a grid
-scan plus bisection, finds the largest output count ``M*(N)`` that still
-admits superbroadcasting, and fits the power laws that ``1 - r*`` follows
-for large ``N``.
+(when it exceeds 1 at all).  A pair superbroadcasts iff ``(M+2) K_N > M``,
+decided exactly (see :func:`r_star`), so the largest output count ``M*(N)``
+has a closed form.  Thresholds come from a grid scan plus bisection, and
+power laws fit ``1 - r*`` at large ``N``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, NamedTuple, Optional
 
 import numpy as np
 
-from .analysis import half_spin_scaling_at_zero, scaling_profile
+from .analysis import _zero_slope, scaling_profile
 
 __all__ = [
     "GRID_STEPS",
@@ -42,8 +41,8 @@ _GRID.flags.writeable = False
 class ThresholdResult:
     """Threshold purity for one ``(N, M)`` pair.
 
-    ``r_star`` is ``None`` when ``p(r) < 1`` over the whole scan, i.e. the
-    pair admits no superbroadcasting.  ``bracket_width`` is the width of the
+    ``r_star`` is ``None`` when the pair admits no superbroadcasting,
+    ``(M+2) K_N <= M`` (see :func:`r_star`).  ``bracket_width`` is the width of the
     final bisection bracket around the reported threshold.
     """
 
@@ -59,12 +58,12 @@ class ThresholdResult:
 
 @dataclass(frozen=True)
 class MStarResult:
-    """Largest verified output count with superbroadcasting for one ``N``.
+    """Largest output count with superbroadcasting for one ``N``.
 
     ``m_star == n_in`` means no output count ``M > N`` works at all (the
-    case for ``N <= 3``).  ``capped`` is True when presence was confirmed
-    all the way to ``cap`` without ever being refuted, so the true value is
-    at least ``cap``.
+    case for ``N <= 3``).  ``capped`` is True when the exact ``M*`` is at
+    least ``cap`` (unbounded for every ``N >= 6``); ``m_star`` then reads
+    ``cap``.
     """
 
     n_in: int
@@ -88,44 +87,35 @@ class PowerLawFit(NamedTuple):
 def _grid_scan(n_in: int, m_out: int) -> np.ndarray:
     """``p`` of the optimal map on the ``GRID_STEPS + 1`` points of ``[0, 1]``.
 
-    Computed once per ``(N, M)`` and shared by :func:`r_star` and the
-    ``M*`` walk; read-only, because every caller receives the same array.
+    Computed once per ``(N, M)`` that superbroadcasts; read-only, because
+    every caller receives the same array.
     """
     ps = scaling_profile(n_in, m_out).p(_GRID)  # the analytic limit at r = 0
     ps.flags.writeable = False
     return ps
 
 
-def _has_superbroadcasting(n_in: int, m_out: int) -> bool:
-    """Whether the optimal map reaches ``p(r) > 1`` somewhere on ``[0, 1]``.
-
-    ``r = 0`` is decided by the exact rational ``r -> 0`` limit of the
-    half-output-spin map (the optimal map), never by its rounded float; the
-    grid scan over ``r > 0`` settles the rest without assuming monotonicity
-    in ``r``.
-    """
-    if half_spin_scaling_at_zero(n_in, m_out) > 1:
-        return True
-    return bool(np.any(_grid_scan(n_in, m_out)[1:] > 1.0))
-
-
 def r_star(n_in: int, m_out: int, tol: float = 1e-6) -> ThresholdResult:
     """Largest input purity at which broadcasting still purifies each copy.
 
-    Scans ``p(r) - 1`` on a grid of step ``1/512``, takes the sign-change
-    bracket at the largest ``r`` (no single-crossing assumption), and
-    bisects it down to ``tol``.  Returns an absent result when the scaling
-    factor stays below 1 everywhere.
+    ``p(r) = (M+2)/M * F_N(r)/r``, and where ``K_N = lim F_N(r)/r`` is below
+    1 (``N <= 5``) it is also the maximum of ``F_N(r)/r``; so a pair
+    superbroadcasts iff ``(M+2) K_N > M``, and an absent one returns before
+    any curve is built.  A present pair scans ``p(r) - 1`` on a grid of step
+    ``1/512``, takes the sign-change bracket at the largest ``r`` (no
+    single-crossing assumption), and bisects it down to ``tol``.
     """
     if not m_out > n_in >= 1:
         raise ValueError(f"need M > N >= 1, got N={n_in}, M={m_out}")
     if not tol >= 1e-10:
         raise ValueError(f"tolerance {tol} below the supported 1e-10")
-    ps = _grid_scan(n_in, m_out)
-    above = ps >= 1.0
-    crossings = np.flatnonzero(above[:-1] & ~above[1:])
-    if crossings.size == 0 or not np.any(ps > 1.0):
+    if not (m_out + 2) * _zero_slope(n_in) > m_out:
         return ThresholdResult(n_in, m_out, None, 0.0)
+    above = _grid_scan(n_in, m_out) >= 1.0
+    crossings = np.flatnonzero(above[:-1] & ~above[1:])
+    # p(0) - 1 >= 1/252 exactly and p(1) < 1, so the scan must cross
+    if crossings.size == 0:
+        raise ArithmeticError(f"p(0) > 1 but no p = 1 crossing at N={n_in}, M={m_out}")
     profile = scaling_profile(n_in, m_out)
     lo, hi = _GRID[crossings[-1]], _GRID[crossings[-1] + 1]
     while hi - lo > tol:
@@ -137,33 +127,31 @@ def r_star(n_in: int, m_out: int, tol: float = 1e-6) -> ThresholdResult:
     return ThresholdResult(n_in, m_out, 0.5 * (lo + hi), hi - lo)
 
 
+def _exact_m_star(n_in: int) -> Optional[int]:
+    """``M*(N)``, the largest ``M`` with ``(M+2) K_N > M``; ``None`` when
+    ``K_N >= 1`` (unbounded), else ``M < 2a/(b-a)`` for ``K_N = a/b``."""
+    k = _zero_slope(n_in)
+    if k >= 1:
+        return None
+    a, b = k.numerator, k.denominator
+    return max(n_in, (2 * a - 1) // (b - a))
+
+
 def m_star(n_in: int, cap: int = 200) -> MStarResult:
     """Largest output count ``M <= cap`` that admits superbroadcasting.
 
-    Walks ``M = N+1, N+2, ...`` and checks presence at every step (presence
-    is not known to be monotone in ``M``, so no bisection over ``M``).
-    Stops at the first refuted ``M``; if none is refuted up to ``cap`` the
-    result is flagged as capped, meaning "at least ``cap``".
-
-    ``p(0) = (M+2)/M * K_N`` with ``K_N`` rational and independent of ``M``
-    (:func:`superbroadcast.analysis.half_spin_scaling_at_zero`).  When
-    ``K_N >= 1`` presence holds at every ``M``, so the capped result is
-    returned without walking.  That is every ``N >= 6``: ``K_N`` is 2/3 of
-    the mean input spin, which grows with ``N``, and ``K_6 = 49/48``.
+    Presence, ``(M+2) K_N > M`` (see :func:`r_star`), is monotone in ``M``,
+    so ``M*`` has a closed form and no curve is evaluated: ``M*(4) = 7``,
+    ``M*(5) = 21``, unbounded from ``N = 6`` (``K_6 = 49/48``).  When
+    ``M* >= cap`` the result is capped, meaning "at least ``cap``".
     """
     if n_in < 1:
         raise ValueError(f"need N >= 1, got {n_in}")
     if cap <= n_in:
         raise ValueError(f"cap {cap} leaves no output count above N={n_in}")
-    limit = half_spin_scaling_at_zero(n_in, n_in + 1) * Fraction(n_in + 1, n_in + 3)
-    if limit >= 1:
-        return MStarResult(n_in, cap, cap, capped=True)
-    last_good = n_in
-    for m_out in range(n_in + 1, cap + 1):
-        if not _has_superbroadcasting(n_in, m_out):
-            return MStarResult(n_in, last_good, cap, capped=False)
-        last_good = m_out
-    return MStarResult(n_in, last_good, cap, capped=True)
+    exact = _exact_m_star(n_in)
+    capped = exact is None or exact >= cap
+    return MStarResult(n_in, cap if capped else exact, cap, capped)
 
 
 def _threshold_or_raise(n_in: int, m_out: int, tol: float) -> float:
@@ -178,8 +166,12 @@ def limiting_threshold(n_in: int, tol: float = 1e-6) -> float:
 
     Doubling ``M`` halves the remaining change of ``r*`` (the finite-``M``
     correction decays like ``1/M``), so after a ladder of doublings the
-    outstanding tail equals the last observed increment.
+    outstanding tail equals the last observed increment.  Raises for
+    ``K_N <= 1`` (``N <= 5``), where ``p(0) -> K_N`` leaves no limit.
     """
+    k = _zero_slope(n_in)
+    if k <= 1:
+        raise ValueError(f"r* has no M -> oo limit at N={n_in}: p(0) -> K_N = {k} <= 1")
     ladder = [m for m in (256, 512, 1024, 2048) if m > n_in] or [2 * n_in, 4 * n_in]
     values = [_threshold_or_raise(n_in, m, tol) for m in ladder]
     if len(values) == 1:
@@ -187,30 +179,25 @@ def limiting_threshold(n_in: int, tol: float = 1e-6) -> float:
     return values[-1] + (values[-1] - values[-2])
 
 
-def _maximal_threshold(n_in: int, tol: float, cap: int) -> float:
-    """``r*(N, M*(N))``, or the ``M -> oo`` limit of ``r*`` when :func:`m_star`
-    runs into ``cap`` (the true ``M*`` is then at least ``cap``)."""
-    counts = m_star(n_in, cap=cap)
-    if counts.capped:
+def _maximal_threshold(n_in: int, tol: float) -> float:
+    """``r*(N, M*(N))``, or the ``M -> oo`` limit of ``r*`` when ``M*`` is
+    unbounded."""
+    exact = _exact_m_star(n_in)
+    if exact is None:
         return limiting_threshold(n_in, tol)
-    return _threshold_or_raise(n_in, counts.m_star, tol)
+    return _threshold_or_raise(n_in, exact, tol)
 
 
 def asymptotic_fit(
-    n_values: Iterable[int],
-    curve: str = "adjacent",
-    tol: float = 1e-6,
-    cap: int = 200,
+    n_values: Iterable[int], curve: str = "adjacent", tol: float = 1e-6
 ) -> PowerLawFit:
     """Power-law fit of ``1 - r*`` against ``N`` on a log-log scale.
 
     ``curve="adjacent"`` follows ``r*(N, N+1)``.  ``curve="maximal"``
-    follows ``r*(N, M*(N))``: when :func:`m_star` finds a finite ``M*`` the
-    threshold is taken there, and when it runs into the cap (the true
-    ``M*`` is unbounded for these ``N``) the ``M -> oo`` limit of ``r*`` is
-    used, obtained by geometric extrapolation over doublings of ``M``.
-    Requires all ``N >= 10`` (the asymptotic regime); raises if any
-    requested ``N`` has no threshold.
+    follows ``r*(N, M*(N))``; ``M*`` is unbounded at every ``N`` of the
+    fit, so that is the ``M -> oo`` limit of ``r*``, obtained by geometric
+    extrapolation over doublings of ``M``.  Requires all ``N >= 10`` (the asymptotic regime);
+    raises if any requested ``N`` has no threshold.
     """
     if curve not in ("adjacent", "maximal"):
         raise ValueError(f"unknown curve selector {curve!r}")
@@ -225,6 +212,6 @@ def asymptotic_fit(
         if curve == "adjacent":
             gaps.append(1.0 - _threshold_or_raise(n, n + 1, tol))
         else:
-            gaps.append(1.0 - _maximal_threshold(n, tol, cap))
+            gaps.append(1.0 - _maximal_threshold(n, tol))
     slope, intercept = np.polyfit(np.log(ns), np.log(gaps), 1)
     return PowerLawFit(slope=float(slope), prefactor=float(math.exp(intercept)))

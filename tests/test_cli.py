@@ -65,6 +65,12 @@ def test_figure3_rows_first_entry():
     assert abs(float(rows[1][2]) - (1.0 - 1.0 / 3.0)) < 1e-3  # r*(4,7) = 1/3
 
 
+def test_figure3_rows_ignore_the_mstar_cap():
+    # M*(4) = 7 and M*(5) = 21 are exact, whatever cap the config carries
+    default = figure3_rows(RunConfig("figure3", n_range=(4, 5)))
+    assert figure3_rows(RunConfig("figure3", n_range=(4, 5), cap=7)) == default
+
+
 def test_verify_lines_pass_and_fault():
     lines, ok = verify_lines(RunConfig("verify", n_in=2, m_out=3, cap=12))
     assert ok
@@ -111,6 +117,9 @@ def test_cli_invalid_arguments_exit_2(tmp_path):
     assert run_cli("nonsense").returncode == 2
     # each subcommand takes only the shared flags it reads
     assert run_cli("threshold", "--n", "4", "--m", "5", "--cap", "5").returncode == 2
+    no_cap = run_cli("figure3", "--cap", "7")  # M* is exact; figure3 takes no cap
+    assert no_cap.returncode == 2
+    assert "unrecognized arguments: --cap" in no_cap.stderr
     assert run_cli("threshold", "--n", "4", "--m", "5", "--tol", "nan").returncode == 2
     # sizes whose multiplicities overflow a float exit cleanly, no traceback
     huge = run_cli("threshold", "--n", "1100", "--m", "1101")

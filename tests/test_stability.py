@@ -1,5 +1,7 @@
-"""Byte and name stability: the reference CLI digests and the public API."""
+"""Byte and name stability: the reference CLI digests and the public API,
+and no check in the package that relies on ``assert``."""
 
+import ast
 import hashlib
 import json
 from pathlib import Path
@@ -78,3 +80,13 @@ def test_public_api_is_unchanged():
     assert superbroadcast.__all__ == PUBLIC_API
     for name in PUBLIC_API:
         assert hasattr(superbroadcast, name)
+
+
+def test_package_checks_do_not_rely_on_assert():
+    # `python -O` strips assert statements; every check must raise explicitly
+    found = []
+    for path in sorted((Path(superbroadcast.__file__).parent).glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Assert):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []

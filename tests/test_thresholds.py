@@ -1,16 +1,18 @@
 """Purity thresholds r*, maximal output counts M*, and power-law fits."""
 
+from fractions import Fraction
+from math import comb
+
 import numpy as np
 import pytest
 
 from superbroadcast import thresholds
-from superbroadcast.analysis import scaling_profile
+from superbroadcast.analysis import _zero_slope, half_spin_scaling_at_zero, scaling_profile
 from superbroadcast.thresholds import (
     GRID_STEPS,
     MStarResult,
     PowerLawFit,
     _grid_scan,
-    _has_superbroadcasting,
     asymptotic_fit,
     limiting_threshold,
     m_star,
@@ -83,6 +85,105 @@ def test_m_star_counts():
     assert capped.m_star == 50
 
 
+def _poly_mul(a, b):
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def _poly_pow(a, k):
+    out = [Fraction(1)]
+    for _ in range(k):
+        out = _poly_mul(out, a)
+    return out
+
+
+def _f_coefficients(n):
+    """Power coefficients of F_N(r) = sum_l d_l/(l+1) sum_n (-n) w(l, n), exactly.
+
+    Built from binomials alone: d_l = C(N, N/2-l) - C(N, N/2-l-1) and
+    w(l, n) = r_+^(N/2-n) r_-^(N/2+n) with r_+- = (1 +- r)/2.
+    """
+    half = Fraction(1, 2)
+    plus, minus = [half, half], [half, -half]
+    coeffs = [Fraction(0)] * (n + 1)
+    for dl in range(n % 2, n + 1, 2):
+        k = (n - dl) // 2
+        d = comb(n, k) - (comb(n, k - 1) if k else 0)
+        for dn in range(-dl, dl + 1, 2):
+            term = _poly_mul(_poly_pow(plus, (n - dn) // 2), _poly_pow(minus, (n + dn) // 2))
+            scale = Fraction(-d * dn, dl + 2)
+            for i, c in enumerate(term):
+                coeffs[i] += scale * c
+    return coeffs
+
+
+def test_zero_slope_bounds_f_over_r_exactly():
+    # g(r) = K_N - F_N(r)/r >= 0 on [0, 1] wherever K_N < 1 (N <= 5), so
+    # p(r) <= p(0) there and presence is (M+2) K_N > M
+    expected = {
+        1: {},
+        2: {},
+        3: {2: Fraction(1, 15)},
+        4: {2: Fraction(1, 8)},
+        5: {2: Fraction(7, 30), 4: Fraction(-13, 420)},
+    }
+    for n, want in expected.items():
+        f = _f_coefficients(n)
+        assert f[0] == 0
+        k = f[1]
+        assert k == _zero_slope(n) < 1
+        # power coefficients of g(r), r^0 first, padded to r^2
+        g = [k - f[1]] + [-c for c in f[2:]] + [Fraction(0)] * 2
+        assert {i: c for i, c in enumerate(g) if c} == want
+        assert g[2] >= sum(abs(c) for c in g[3:])
+        # the test-side F_N is the package's curve with the M factor removed
+        rs = np.linspace(0.0, 1.0, 9)
+        f_float = sum(float(c) * rs**i for i, c in enumerate(f))
+        for m in range(n, n + 4):
+            got = scaling_profile(n, m).r_prime(rs) * m / (m + 2)
+            assert np.allclose(got, f_float, rtol=1e-13, atol=1e-15)
+
+
+def test_zero_slope_increases_with_inputs():
+    # multiplicities by adding one qubit at a time: d'(l) = d(l - 1/2) + d(l + 1/2)
+    d = {1: 1}  # doubled spin -> multiplicity, one qubit
+    previous = None
+    for n in range(1, 301):
+        k = Fraction(sum(dl * (dl + 1) * c for dl, c in d.items()), 3 * 2**n)
+        assert k == _zero_slope(n)
+        if previous is not None:
+            # E[l] rises by E[1/(2(2l+1))] = sum_l d_l / 2^(N+1) per added qubit
+            assert k - previous == Fraction(sum(last.values()), 3 * 2 ** (n - 1)) > 0
+        previous, last = k, d
+        d = {}
+        for dl, c in last.items():
+            for child in (dl - 1, dl + 1):
+                if child >= 0:
+                    d[child] = d.get(child, 0) + c
+    assert _zero_slope(5) == Fraction(11, 12) < 1 <= _zero_slope(6) == Fraction(49, 48)
+
+
+def test_r_prime_factorizes_over_outputs():
+    rs = np.linspace(0.05, 1.0, 20)
+    for n in (4, 5, 12, 40):
+        curves = [
+            scaling_profile(n, m).r_prime(rs) * m / (m + 2) for m in (n, n + 1, 2 * n, 5 * n)
+        ]
+        for curve in curves[1:]:
+            assert np.allclose(curve, curves[0], rtol=1e-13, atol=0.0)
+
+
+def _present_by_scan(n, m):
+    """Brute-force presence: exact p(0) > 1, or p > 1 anywhere on the scan grid."""
+    if half_spin_scaling_at_zero(n, m) > 1:
+        return True
+    grid = np.arange(1, GRID_STEPS + 1) / GRID_STEPS
+    return bool(np.any(scaling_profile(n, m).p(grid) > 1.0))
+
+
 def test_m_star_matches_explicit_walk():
     for n in range(1, 15):
         for cap in sorted({n + 1, n + 5, 40, 120}):
@@ -90,7 +191,7 @@ def test_m_star_matches_explicit_walk():
                 continue
             last, capped = n, True
             for m in range(n + 1, cap + 1):
-                if not _has_superbroadcasting(n, m):
+                if not _present_by_scan(n, m):
                     capped = False
                     break
                 last = m
@@ -98,27 +199,42 @@ def test_m_star_matches_explicit_walk():
 
 
 def test_m_star_answers_unbounded_inputs_without_walking(monkeypatch):
-    def refuse(n, m):
-        raise AssertionError(f"walked to M={m}")
+    def refuse(*args):
+        raise AssertionError(f"evaluated a curve at {args}")
 
-    # p(0) = (M+2)/M * K_N and K_6 = 196/192 >= 1: present at every M
-    monkeypatch.setattr(thresholds, "_has_superbroadcasting", refuse)
+    monkeypatch.setattr(thresholds, "scaling_profile", refuse)
+    monkeypatch.setattr(thresholds, "_grid_scan", refuse)
+    for n in range(1, 15):
+        for cap in (n + 1, n + 2, 7, 8, 21, 22, 200, 10**9):
+            if cap > n:
+                m_star(n, cap=cap)
+    # p(0) = (M+2)/M * K_N and K_6 = 49/48 >= 1: present at every M
     assert m_star(6, cap=10**9) == MStarResult(6, 10**9, 10**9, True)
     assert m_star(59, cap=60) == MStarResult(59, 60, 60, True)
+    assert m_star(5, cap=10**9) == MStarResult(5, 21, 10**9, False)
+    # nor does r_star on an absent pair
+    assert not r_star(4, 8).exists
+    assert not r_star(3, 10**6).exists
 
 
 def test_grid_scan_runs_once_per_pair():
     _grid_scan.cache_clear()
-    # 4 -> 8 has p(0) < 1, so both r_star and the M* walk read the scan
-    assert not r_star(4, 8).exists
-    assert not r_star(4, 8).exists
-    assert m_star(4, cap=8).m_star == 7
+    assert r_star(4, 5) == r_star(4, 5)
     info = _grid_scan.cache_info()
-    assert (info.misses, info.hits) == (1, 2)
-    ps = _grid_scan(4, 8)
+    assert (info.misses, info.hits) == (1, 1)
+    # 4 -> 8 has p(0) < 1 exactly: decided without a scan
+    assert not r_star(4, 8).exists
+    assert _grid_scan.cache_info() == info
+    ps = _grid_scan(4, 5)
     assert not ps.flags.writeable
     with pytest.raises(ValueError):
         ps[0] = 2.0
+
+
+def test_present_pair_without_crossing_raises(monkeypatch):
+    monkeypatch.setattr(thresholds, "_grid_scan", lambda n, m: np.full(GRID_STEPS + 1, 0.5))
+    with pytest.raises(ArithmeticError):
+        r_star(4, 5)
 
 
 def test_r_star_matches_uncached_scan():
@@ -149,6 +265,16 @@ def test_limiting_threshold_bounds():
     assert finite - limit < 1e-2
     # regression guard on the extrapolated value
     assert abs(limit - 0.25163) < 1e-3
+
+
+def test_limiting_threshold_refuses_bounded_inputs(monkeypatch):
+    def refuse(*args):
+        raise AssertionError(f"built a profile at {args}")
+
+    monkeypatch.setattr(thresholds, "scaling_profile", refuse)
+    for n, k in ((1, "1/3"), (4, "19/24"), (5, "11/12")):
+        with pytest.raises(ValueError, match=f"no M -> oo limit at N={n}: p\\(0\\) -> K_N = {k}"):
+            limiting_threshold(n)
 
 
 def test_asymptotic_fit_adjacent_smoke():
