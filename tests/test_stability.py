@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import superbroadcast
-from superbroadcast import cli
+from superbroadcast import analysis, channels, cli, oracle, su2core, thresholds
 
 # SHA-256 of fixed-argument CLI outputs, keyed by the argument string; the
 # benchmark harness checks the same file.
@@ -64,6 +64,77 @@ PUBLIC_API = [
     "verify_closed_form",
 ]
 
+MODULE_API = {
+    su2core: [
+        "HalfInt",
+        "spin_range",
+        "coupled_range",
+        "projections",
+        "multiplicity",
+        "cg",
+        "cg_square",
+    ],
+    channels: [
+        "ExtremalMap",
+        "ChannelCoeffs",
+        "TracePreservationReport",
+        "SearchSpaceTooLargeError",
+        "extremal_count",
+        "enumerate_extremal",
+        "conjectured_optimal_map",
+        "coefficients_for",
+        "mix",
+        "validate_trace_preserving",
+    ],
+    analysis: [
+        "InputWeights",
+        "BlochReport",
+        "OptimalMapResult",
+        "BlochCurve",
+        "ScalingProfile",
+        "input_weights",
+        "single_copy_bloch",
+        "single_copy_convex",
+        "half_spin_scaling_at_zero",
+        "optimal_map",
+        "perfect_broadcast_channel",
+        "scaling_profile",
+    ],
+    thresholds: [
+        "GRID_STEPS",
+        "ThresholdResult",
+        "MStarResult",
+        "PowerLawFit",
+        "r_star",
+        "limiting_threshold",
+        "m_star",
+        "asymptotic_fit",
+    ],
+    oracle: [
+        "DenseOperator",
+        "SizeCapError",
+        "SchurIsometry",
+        "CheckResult",
+        "VerificationReport",
+        "schur_isometry",
+        "projector_J",
+        "build_choi",
+        "apply_channel",
+        "partial_trace",
+        "single_copy_marginal",
+        "bloch_vector",
+        "qubit_state",
+        "product_input",
+        "random_axis",
+        "random_su2",
+        "kron_power",
+        "verify_closed_form",
+        "symmetric_marginal_deviation",
+        "permutation_twirl_deviation",
+    ],
+    cli: ["RunConfig", "main"],
+}
+
 
 def test_golden_digests_cover_seven_outputs():
     assert len(GOLDEN) == 7
@@ -80,6 +151,13 @@ def test_public_api_is_unchanged():
     assert superbroadcast.__all__ == PUBLIC_API
     for name in PUBLIC_API:
         assert hasattr(superbroadcast, name)
+
+
+@pytest.mark.parametrize("module", MODULE_API, ids=lambda module: module.__name__)
+def test_module_api_is_unchanged(module):
+    assert module.__all__ == MODULE_API[module]
+    for name in MODULE_API[module]:
+        assert hasattr(module, name)
 
 
 def test_package_checks_do_not_rely_on_assert():

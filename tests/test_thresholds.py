@@ -7,12 +7,16 @@ import numpy as np
 import pytest
 
 from superbroadcast import thresholds
-from superbroadcast.analysis import _zero_slope, half_spin_scaling_at_zero, scaling_profile
+from superbroadcast.analysis import (
+    ScalingProfile,
+    _zero_slope,
+    half_spin_scaling_at_zero,
+    scaling_profile,
+)
 from superbroadcast.thresholds import (
     GRID_STEPS,
     MStarResult,
     PowerLawFit,
-    _grid_scan,
     asymptotic_fit,
     limiting_threshold,
     m_star,
@@ -203,7 +207,6 @@ def test_m_star_answers_unbounded_inputs_without_walking(monkeypatch):
         raise AssertionError(f"evaluated a curve at {args}")
 
     monkeypatch.setattr(thresholds, "scaling_profile", refuse)
-    monkeypatch.setattr(thresholds, "_grid_scan", refuse)
     for n in range(1, 15):
         for cap in (n + 1, n + 2, 7, 8, 21, 22, 200, 10**9):
             if cap > n:
@@ -217,43 +220,81 @@ def test_m_star_answers_unbounded_inputs_without_walking(monkeypatch):
     assert not r_star(3, 10**6).exists
 
 
-def test_grid_scan_runs_once_per_pair():
-    _grid_scan.cache_clear()
-    assert r_star(4, 5) == r_star(4, 5)
-    info = _grid_scan.cache_info()
-    assert (info.misses, info.hits) == (1, 1)
-    # 4 -> 8 has p(0) < 1 exactly: decided without a scan
+def test_r_star_evaluates_r_prime_at_scalars_only(monkeypatch):
+    calls = []
+    original = ScalingProfile.r_prime
+
+    def counted(self, r):
+        assert np.ndim(r) == 0, f"r' evaluated at an array of shape {np.shape(r)}"
+        calls.append(r)
+        return original(self, r)
+
+    monkeypatch.setattr(ScalingProfile, "r_prime", counted)
+    # the exact bracket [0, 1] halves to 1/512 in 9 steps, then on to tol
+    for tol, evals in ((1e-6, 20), (1e-8, 27), (0.01, 9)):
+        calls.clear()
+        r_star(4, 5, tol=tol)
+        assert len(calls) == evals
+    # 4 -> 8 has p(0) < 1 exactly: decided without evaluating a curve
+    calls.clear()
     assert not r_star(4, 8).exists
-    assert _grid_scan.cache_info() == info
-    ps = _grid_scan(4, 5)
-    assert not ps.flags.writeable
-    with pytest.raises(ValueError):
-        ps[0] = 2.0
+    assert calls == []
 
 
-def test_present_pair_without_crossing_raises(monkeypatch):
-    monkeypatch.setattr(thresholds, "_grid_scan", lambda n, m: np.full(GRID_STEPS + 1, 0.5))
-    with pytest.raises(ArithmeticError):
-        r_star(4, 5)
+def test_threshold_fields_are_plain_floats():
+    present, absent = r_star(4, 5), r_star(4, 8)
+    assert type(present.r_star) is float
+    assert type(present.bracket_width) is float
+    assert absent.r_star is None
+    assert type(absent.bracket_width) is float
+    assert repr(present.r_star) == "0.7867960929870605"
 
 
 def test_r_star_matches_uncached_scan():
+    # reference without the single-crossing assumption: scan p - 1 on 1/512
+    # cells, take the sign change at the largest r, bisect that cell to tol
     grid = np.arange(GRID_STEPS + 1) / GRID_STEPS
-    for n in (2, 4, 5, 7, 12, 19, 26, 33, 40):
+    for n in (2, 4, 5, 7, 12, 19, 26, 33, 40, 64, 108, 200):
         for m in (n + 1, n + 3, 2 * n + 1):
             profile = scaling_profile(n, m)
             ps = profile.p(grid)
             above = ps >= 1.0
             crossings = np.flatnonzero(above[:-1] & ~above[1:])
-            result = r_star(n, m)
-            if crossings.size == 0 or not np.any(ps > 1.0):
-                assert not result.exists
-                continue
-            lo, hi = grid[crossings[-1]], grid[crossings[-1] + 1]
-            while hi - lo > 1e-6:
-                mid = 0.5 * (lo + hi)
-                lo, hi = (mid, hi) if profile.p(mid) >= 1.0 else (lo, mid)
-            assert (result.r_star, result.bracket_width) == (0.5 * (lo + hi), hi - lo)
+            for tol in (1e-6, 1e-8, 0.01):
+                result = r_star(n, m, tol=tol)
+                if crossings.size == 0 or not np.any(ps > 1.0):
+                    assert not result.exists
+                    continue
+                lo, hi = grid[crossings[-1]], grid[crossings[-1] + 1]
+                while hi - lo > tol:
+                    mid = 0.5 * (lo + hi)
+                    lo, hi = (mid, hi) if profile.p(mid) >= 1.0 else (lo, mid)
+                assert (result.r_star, result.bracket_width) == (0.5 * (lo + hi), hi - lo)
+
+
+def test_scaling_factor_never_increases_on_grid():
+    # p = (M+2)/M * F_N(r)/r has an M-free shape in r
+    # (test_r_prime_factorizes_over_outputs), so one M per N covers every
+    # pair: p - 1 changes sign at most once, which r_star's bisection needs.
+    # Every N up to 66 (the CLI's defaults and the benchmark's N ~ 64), and
+    # each N the large-n-thresholds benchmark draws around 84, ..., 200.
+    grid = np.arange(GRID_STEPS + 1) / GRID_STEPS
+    large = [c + d for c in (84, 108, 136, 168, 200) for d in range(-2, 3)]
+    for n in [*range(1, 67), *large]:
+        steps = np.diff(scaling_profile(n, n + 1).p(grid))
+        assert np.max(steps) <= 1e-12, f"p rises by {np.max(steps)} at N={n}"
+
+
+def test_limiting_threshold_uses_last_two_rungs(monkeypatch):
+    requested = []
+
+    def recording(n, m):
+        requested.append(m)
+        return scaling_profile(n, m)
+
+    monkeypatch.setattr(thresholds, "scaling_profile", recording)
+    limiting_threshold(6)
+    assert set(requested) == {1024, 2048}
 
 
 def test_limiting_threshold_bounds():
