@@ -171,7 +171,6 @@ def _alpha_polarization(dl: int, dj: int, dJ: int) -> np.ndarray:
     return np.array([numerator * dn / denominator for dn in range(-dl, dl + 1, 2)])
 
 
-@lru_cache(maxsize=4096)
 def _moments_fast(dl: int, dj: int, dJ: int) -> tuple[np.ndarray, np.ndarray]:
     """Mass ``sum_m <J m+n|j m, l n>^2`` and polarization moments, log-factorial kernel.
 

@@ -68,11 +68,13 @@ class ExtremalMap:
                 f"need one (output, coupled) spin pair per input spin; "
                 f"expected {len(ls)} entries"
             )
-        out_ok = set(spin_range(self.m_out))
+        # j in spin_range(M) and J in coupled_range(j, l), tested on doubled spins
+        m = self.m_out
         for l, j, J in zip(ls, self.output_spin, self.coupled_spin):
-            if j not in out_ok:
+            if not isinstance(j, HalfInt) or not 0 <= j.doubled <= m or (m - j.doubled) % 2:
                 raise ValueError(f"output spin {j} invalid for {self.m_out} qubits")
-            if J not in coupled_range(j, l):
+            lo, hi = abs(j.doubled - l.doubled), j.doubled + l.doubled
+            if not isinstance(J, HalfInt) or not lo <= J.doubled <= hi or (J.doubled - lo) % 2:
                 raise ValueError(f"coupled spin {J} invalid for pair ({j}, {l})")
 
     def input_spins(self) -> list[HalfInt]:

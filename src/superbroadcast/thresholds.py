@@ -2,10 +2,12 @@
 
 For ``M > N`` output copies the scaling factor ``p(r)`` of the optimal
 broadcasting channel exceeds 1 only below some input purity ``r*(N, M)``
-(when it exceeds 1 at all).  A pair superbroadcasts iff ``(M+2) K_N > M``,
-decided exactly (see :func:`r_star`), so the largest output count ``M*(N)``
-has a closed form.  Thresholds come from bisection of the exact bracket
-``[0, 1]``, and power laws fit ``1 - r*`` at large ``N``.
+(when it exceeds 1 at all).  The optimal map has ``r' = (M+2)/M * F_N(r)``
+with ``F_N`` free of ``M``, so a pair superbroadcasts iff ``(M+2) K_N > M``,
+decided exactly (see :func:`r_star`), and the largest output count
+``M*(N)`` has a closed form.  Every threshold bisects the exact bracket
+``[0, 1]`` on the one ``(N, N+1)`` curve per ``N``, against the exact ratio
+that carries ``M``; power laws fit ``1 - r*`` at large ``N``.
 """
 
 from __future__ import annotations
@@ -88,12 +90,14 @@ def r_star(n_in: int, m_out: int, tol: float = 1e-6) -> ThresholdResult:
     superbroadcasts iff ``(M+2) K_N > M``, and an absent one returns before
     any curve is built.  A present pair has ``p(0) > 1`` and
     ``p(1) = N(M+2)/(M(N+2)) < 1``, so ``[0, 1]`` brackets the root of
-    ``p = 1``; bisection tests ``r'(r) >= r`` and stops once the bracket is
-    no wider than ``tol`` and ``1/GRID_STEPS``.  This relies on ``p`` falling
-    monotonically in ``r``, so that ``p = 1`` has a single crossing;
-    ``test_scaling_factor_never_increases_on_grid`` is the evidence, for
-    every ``N`` the CLI and the benchmark reach (``p``'s shape in ``r`` is
-    free of ``M``).
+    ``F_N(r)/r = M/(M+2)``.  Bisection tests it on the one ``(N, N+1)``
+    curve, ``r'_{N+1} >= ratio * r`` with the correctly rounded
+    ``ratio = (N+3) M / ((N+1)(M+2))`` (exactly 1 at ``M = N+1``), and
+    stops once the bracket is no wider than ``tol`` and ``1/GRID_STEPS``.
+    This relies on ``p`` falling monotonically in ``r``, so that ``p = 1``
+    has a single crossing; ``test_scaling_factor_never_increases_on_grid``
+    is the evidence, for every ``N`` the CLI and the benchmark reach
+    (``p``'s shape in ``r`` is free of ``M``).
     """
     if not m_out > n_in >= 1:
         raise ValueError(f"need M > N >= 1, got N={n_in}, M={m_out}")
@@ -101,11 +105,12 @@ def r_star(n_in: int, m_out: int, tol: float = 1e-6) -> ThresholdResult:
         raise ValueError(f"tolerance {tol} below the supported 1e-10")
     if not (m_out + 2) * _zero_slope(n_in) > m_out:
         return ThresholdResult(n_in, m_out, None, 0.0)
-    profile = scaling_profile(n_in, m_out)
+    curve = scaling_profile(n_in, n_in + 1)
+    ratio = ((n_in + 3) * m_out) / ((n_in + 1) * (m_out + 2))
     lo, hi = 0.0, 1.0
     while hi - lo > min(tol, 1.0 / GRID_STEPS):
         mid = 0.5 * (lo + hi)
-        if profile.r_prime(mid) >= mid:
+        if curve.r_prime(mid) >= ratio * mid:
             lo = mid
         else:
             hi = mid
@@ -139,32 +144,23 @@ def m_star(n_in: int, cap: int = 200) -> MStarResult:
     return MStarResult(n_in, cap if capped else exact, cap, capped)
 
 
-def _threshold_or_raise(n_in: int, m_out: int, tol: float) -> float:
-    result = r_star(n_in, m_out, tol=tol)
-    if not result.exists:
-        raise ValueError(f"no superbroadcasting threshold at N={n_in}, M={m_out}")
-    return result.r_star
-
-
 def limiting_threshold(n_in: int, tol: float = 1e-6) -> float:
     """``lim_{M -> oo} r*(N, M)`` by geometric extrapolation.
 
     Doubling ``M`` halves the remaining change of ``r*`` (the finite-``M``
-    correction decays like ``1/M``), so the tail after the doubling
-    ``M = 1024 -> 2048`` (``2N -> 4N`` from ``N = 2048``) equals its
-    increment; only those two rungs are computed, and for
-    ``1024 <= N < 2048`` the one rung ``r*(N, 2048)`` is returned as is.
-    Raises for ``K_N <= 1`` (``N <= 5``), where ``p(0) -> K_N`` leaves no
-    limit.
+    correction decays like ``1/M``), so the tail after one doubling
+    ``M = low -> 2 low`` equals its increment: the limit is
+    ``b + (b - a)`` for ``a = r*(N, low)``, ``b = r*(N, 2 low)``, with
+    ``low = 1024`` below ``N = 1024`` and ``low = 2N`` from there.  Both
+    rungs bisect the one ``(N, N+1)`` curve (see :func:`r_star`).  Raises
+    for ``K_N <= 1`` (``N <= 5``), where ``p(0) -> K_N`` leaves no limit.
     """
     k = _zero_slope(n_in)
     if k <= 1:
         raise ValueError(f"r* has no M -> oo limit at N={n_in}: p(0) -> K_N = {k} <= 1")
-    ladder = [m for m in (1024, 2048) if m > n_in] or [2 * n_in, 4 * n_in]
-    values = [_threshold_or_raise(n_in, m, tol) for m in ladder]
-    if len(values) == 1:
-        return values[0]
-    return values[-1] + (values[-1] - values[-2])
+    low = 1024 if n_in < 1024 else 2 * n_in
+    a, b = (r_star(n_in, m, tol).r_star for m in (low, 2 * low))
+    return b + (b - a)
 
 
 def _maximal_threshold(n_in: int, tol: float) -> float:
@@ -173,7 +169,7 @@ def _maximal_threshold(n_in: int, tol: float) -> float:
     exact = _exact_m_star(n_in)
     if exact is None:
         return limiting_threshold(n_in, tol)
-    return _threshold_or_raise(n_in, exact, tol)
+    return r_star(n_in, exact, tol).r_star
 
 
 def asymptotic_fit(
@@ -184,8 +180,9 @@ def asymptotic_fit(
     ``curve="adjacent"`` follows ``r*(N, N+1)``.  ``curve="maximal"``
     follows ``r*(N, M*(N))``; ``M*`` is unbounded at every ``N`` of the
     fit, so that is the ``M -> oo`` limit of ``r*``, obtained by geometric
-    extrapolation over one doubling of ``M``.  Requires all ``N >= 10`` (the asymptotic regime);
-    raises if any requested ``N`` has no threshold.
+    extrapolation over one doubling of ``M``.  Both read the one
+    ``(N, N+1)`` curve per ``N``.  Requires all ``N >= 10`` (the asymptotic
+    regime), where every pair superbroadcasts.
     """
     if curve not in ("adjacent", "maximal"):
         raise ValueError(f"unknown curve selector {curve!r}")
@@ -198,7 +195,7 @@ def asymptotic_fit(
     gaps = []
     for n in ns:
         if curve == "adjacent":
-            gaps.append(1.0 - _threshold_or_raise(n, n + 1, tol))
+            gaps.append(1.0 - r_star(n, n + 1, tol).r_star)
         else:
             gaps.append(1.0 - _maximal_threshold(n, tol))
     slope, intercept = np.polyfit(np.log(ns), np.log(gaps), 1)

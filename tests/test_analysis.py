@@ -171,7 +171,7 @@ def test_log_factorial_kernel_matches_alpha():
             atol = 1e-14 * (dJ + 1) / (dl + 1) * max(dj, 1)
             assert_allclose(pol, _alpha_polarization(dl, dj, dJ), rtol=1e-11, atol=atol)
             assert_allclose(mass, (dJ + 1) / (dl + 1), rtol=1e-11)
-            assert _polarization(dl, dj, dJ) is pol
+            assert np.array_equal(_polarization(dl, dj, dJ), pol)
 
 
 def test_convex_evaluation_matches_extremal():

@@ -83,6 +83,33 @@ def test_extremal_map_validation():
         ExtremalMap(2, 2, (HalfInt.of(0), HalfInt.of(1)), (HalfInt.of(0), HalfInt.of(3)))
 
 
+def test_extremal_map_validation_matches_membership_rule():
+    # every (j, J) of either parity, in and out of range, in each sector:
+    # accepted exactly when j in spin_range(M) and J in coupled_range(j, l)
+    for n in range(1, 7):
+        for m in range(1, 7):
+            base = conjectured_optimal_map(n, m)
+            for i, l in enumerate(spin_range(n)):
+                for dj in range(-2, m + 3):
+                    for dJ in range(-2, m + n + 3):
+                        j, J = HalfInt(dj), HalfInt(dJ)
+                        outs = base.output_spin[:i] + (j,) + base.output_spin[i + 1:]
+                        coupled = base.coupled_spin[:i] + (J,) + base.coupled_spin[i + 1:]
+                        if j not in spin_range(m):
+                            with pytest.raises(ValueError, match=f"output spin {j} invalid"):
+                                ExtremalMap(n, m, outs, coupled)
+                        elif J not in coupled_range(j, l):
+                            with pytest.raises(ValueError, match=f"coupled spin {J} invalid"):
+                                ExtremalMap(n, m, outs, coupled)
+                        else:
+                            ExtremalMap(n, m, outs, coupled)
+    # spins that are not HalfInt are never members
+    with pytest.raises(ValueError, match="output spin 1 invalid"):
+        ExtremalMap(2, 2, (HalfInt(0), 1), (HalfInt(0), HalfInt(2)))
+    with pytest.raises(ValueError, match="coupled spin 1 invalid"):
+        ExtremalMap(2, 2, (HalfInt(0), HalfInt(2)), (HalfInt(0), 1))
+
+
 def test_conjectured_map_shape():
     emap = conjectured_optimal_map(4, 5)
     top = HalfInt.of(Fraction(5, 2))

@@ -1,7 +1,9 @@
 """Command-line interface: CSV output, sentinels, exit codes, determinism."""
 
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -17,11 +19,17 @@ from superbroadcast.cli import (
 )
 
 
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
 def run_cli(*args):
+    # the child imports this checkout's package, installed or not
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
     return subprocess.run(
         [sys.executable, "-m", "superbroadcast.cli", *args],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
 
 
@@ -101,6 +109,13 @@ def test_cli_threshold_stdout():
     assert result.returncode == 0
     assert result.stdout.splitlines()[0] == "n,m,r_star"
     assert result.stdout.splitlines()[1].startswith("4,5,0.7867")
+
+
+def test_cli_threshold_at_a_million_outputs():
+    # M enters only through an exact ratio on the (12, 13) curve
+    result = run_cli("threshold", "--n", "12", "--m", "1000000")
+    assert result.returncode == 0
+    assert result.stdout.splitlines()[1] == "12,1000000,0.805558681488"
 
 
 def test_cli_mstar_sentinel():

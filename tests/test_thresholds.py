@@ -17,6 +17,7 @@ from superbroadcast.thresholds import (
     GRID_STEPS,
     MStarResult,
     PowerLawFit,
+    ThresholdResult,
     asymptotic_fit,
     limiting_threshold,
     m_star,
@@ -252,24 +253,31 @@ def test_threshold_fields_are_plain_floats():
 
 def test_r_star_matches_uncached_scan():
     # reference without the single-crossing assumption: scan p - 1 on 1/512
-    # cells, take the sign change at the largest r, bisect that cell to tol
+    # cells, take the sign change at the largest r, bisect that cell to tol;
+    # it reads each pair's own (N, M) curve, where r_star reads (N, N+1)
     grid = np.arange(GRID_STEPS + 1) / GRID_STEPS
-    for n in (2, 4, 5, 7, 12, 19, 26, 33, 40, 64, 108, 200):
-        for m in (n + 1, n + 3, 2 * n + 1):
-            profile = scaling_profile(n, m)
-            ps = profile.p(grid)
-            above = ps >= 1.0
-            crossings = np.flatnonzero(above[:-1] & ~above[1:])
-            for tol in (1e-6, 1e-8, 0.01):
-                result = r_star(n, m, tol=tol)
-                if crossings.size == 0 or not np.any(ps > 1.0):
-                    assert not result.exists
-                    continue
-                lo, hi = grid[crossings[-1]], grid[crossings[-1] + 1]
-                while hi - lo > tol:
-                    mid = 0.5 * (lo + hi)
-                    lo, hi = (mid, hi) if profile.p(mid) >= 1.0 else (lo, mid)
-                assert (result.r_star, result.bracket_width) == (0.5 * (lo + hi), hi - lo)
+    pairs = [
+        (n, m)
+        for n in (2, 4, 5, 7, 12, 19, 26, 33, 40, 64, 108, 200)
+        for m in (n + 1, n + 3, 2 * n + 1)
+    ]
+    # and every pair figure3 bisects
+    pairs += [(4, 7), (5, 21)] + [(n, m) for n in range(6, 13) for m in (1024, 2048)]
+    for n, m in pairs:
+        profile = scaling_profile(n, m)
+        ps = profile.p(grid)
+        above = ps >= 1.0
+        crossings = np.flatnonzero(above[:-1] & ~above[1:])
+        for tol in (1e-6, 1e-8, 0.01):
+            result = r_star(n, m, tol=tol)
+            if crossings.size == 0 or not np.any(ps > 1.0):
+                assert not result.exists
+                continue
+            lo, hi = grid[crossings[-1]], grid[crossings[-1] + 1]
+            while hi - lo > tol:
+                mid = 0.5 * (lo + hi)
+                lo, hi = (mid, hi) if profile.p(mid) >= 1.0 else (lo, mid)
+            assert (result.r_star, result.bracket_width) == (0.5 * (lo + hi), hi - lo)
 
 
 def test_scaling_factor_never_increases_on_grid():
@@ -285,16 +293,50 @@ def test_scaling_factor_never_increases_on_grid():
         assert np.max(steps) <= 1e-12, f"p rises by {np.max(steps)} at N={n}"
 
 
-def test_limiting_threshold_uses_last_two_rungs(monkeypatch):
+def _recording(monkeypatch, name):
+    """Record the ``(N, M)`` of each call to ``thresholds.<name>``."""
+    original = getattr(thresholds, name)
     requested = []
 
-    def recording(n, m):
-        requested.append(m)
-        return scaling_profile(n, m)
+    def recording(n, m, *args):
+        requested.append((n, m))
+        return original(n, m, *args)
 
-    monkeypatch.setattr(thresholds, "scaling_profile", recording)
+    monkeypatch.setattr(thresholds, name, recording)
+    return requested
+
+
+def test_r_star_reads_only_the_adjacent_curve(monkeypatch):
+    requested = _recording(monkeypatch, "scaling_profile")
+    for n in (4, 12, 40):
+        for m in (n + 3, 2 * n + 1, 1024, 2048, 10**6):
+            r_star(n, m)
+        assert set(requested) == {(n, n + 1)}
+        requested.clear()
+
+
+def test_limiting_threshold_uses_last_two_rungs(monkeypatch):
+    rungs = _recording(monkeypatch, "r_star")
+    built = _recording(monkeypatch, "scaling_profile")
     limiting_threshold(6)
-    assert set(requested) == {1024, 2048}
+    assert set(rungs) == {(6, 1024), (6, 2048)}
+    assert set(built) == {(6, 7)}
+
+
+def test_limiting_threshold_extrapolates_at_every_size(monkeypatch):
+    rungs = []
+
+    def stub(n, m, tol=1e-6):
+        rungs.append(m)
+        return ThresholdResult(n, m, 1.0 - 64.0 / m, 0.0)
+
+    monkeypatch.setattr(thresholds, "r_star", stub)
+    for n, low in ((6, 1024), (1023, 1024), (1024, 2048), (1500, 3000), (2047, 4094),
+                   (2048, 4096), (5000, 10000)):
+        rungs.clear()
+        a, b = 1.0 - 64.0 / low, 1.0 - 32.0 / low
+        assert limiting_threshold(n) == b + (b - a)
+        assert rungs == [low, 2 * low]
 
 
 def test_limiting_threshold_bounds():
