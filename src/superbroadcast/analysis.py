@@ -36,7 +36,9 @@ extremal maps (through their exact weights) and convex mixtures alike.
 The purity scaling factor is ``p(r) = r'/r``; ``p > 1`` means each output
 copy is purer than each input copy (superbroadcasting).  ``p(0)`` of the
 optimal map is the exact rational :func:`half_spin_scaling_at_zero`, which
-decides every ``p(0) > 1`` question without rounding.
+decides every ``p(0) > 1`` question without rounding.  Its ``r'`` is
+``(M+2)/M * F_N(r)``, and the thresholds evaluate ``F_N`` in the O(N)
+binomial form of :func:`_f_n` instead of on a curve.
 """
 
 from __future__ import annotations
@@ -354,6 +356,59 @@ def _zero_slope(n_in: int) -> Fraction:
     return Fraction(weighted, 3 * 2**n_in)
 
 
+@lru_cache(maxsize=64)
+def _binomial_coefficients(n_in: int) -> np.ndarray:
+    """``b_k = (k - N/2) S_|N-2k|`` for ``k = 0..N``, so that ``F_N = E[b_K]``.
+
+    Collecting the sector sum of ``F_N`` by the exponent ``k`` of ``r_+``
+    leaves ``C(N, k) r_+^k r_-^(N-k)`` times ``b_k``, where ``S_dl`` is
+    ``sum_{l >= dl/2} d_l/(l+1)`` over ``C(N, (N-dl)/2)``.  The recursion
+
+        S_dl = 4(dl+1)/((N+dl+2)(dl+2)) + S_(dl+2) (N-dl)/(N+dl+2),   S_(N+2) = 0,
+
+    uses the ratios ``d_l / C`` and ``C(N, a-1) / C(N, a)``, so no
+    multiplicity or binomial coefficient is ever a float.
+    """
+    s_by_dl = np.zeros(n_in + 1)
+    s = 0.0
+    for dl in range(n_in, -1, -2):
+        s = 4 * (dl + 1) / ((n_in + dl + 2) * (dl + 2)) + s * (n_in - dl) / (n_in + dl + 2)
+        s_by_dl[dl] = s
+    k = np.arange(n_in + 1)
+    return (k - n_in / 2) * s_by_dl[np.abs(n_in - 2 * k)]
+
+
+def _f_n(n_in: int, r: float) -> float:
+    """``F_N(r) = E[b_K]`` with ``K ~ Bin(N, (1+r)/2)``, in O(sqrt N) per point.
+
+    The optimal map has ``r' = (M+2)/M * F_N(r)`` for every ``M >= N``.
+    The pmf is never formed from a binomial coefficient: ``q`` is 1 at the
+    mode and extends outward by the ratio ``(N-k)/(k+1) * r_+/r_-``, up to
+    ``40 sqrt(N) + 40`` steps each way (Hoeffding puts the mass beyond below
+    ``e^-3200``), and dividing by ``sum q`` normalizes it exactly.  The
+    reductions are ``ndarray.sum``, which no BLAS call sees, so the value
+    does not depend on the thread count.  ``F_N(0) = 0`` and
+    ``F_N(1) = b_N`` are returned exactly.
+    """
+    b = _binomial_coefficients(n_in)
+    if r == 0.0:
+        return 0.0
+    if r == 1.0:
+        return float(b[-1])
+    r_plus, r_minus = (1.0 + r) / 2.0, (1.0 - r) / 2.0
+    mode = min(int((n_in + 1) * r_plus), n_in)
+    reach = int(40 * math.sqrt(n_in) + 40)
+    lo, hi = max(mode - reach, 0), min(mode + reach, n_in)
+    up = np.arange(mode, hi)
+    down = np.arange(mode, lo, -1)
+    q = np.concatenate([
+        np.cumprod(down / (n_in - down + 1) * (r_minus / r_plus))[::-1],
+        [1.0],
+        np.cumprod((n_in - up) / (up + 1) * (r_plus / r_minus)),
+    ])
+    return float((b[lo : hi + 1] * q).sum() / q.sum())
+
+
 def half_spin_scaling_at_zero(n_in: int, m_out: int) -> Fraction:
     """Exact ``r -> 0`` scaling limit of the half-output-spin map.
 
@@ -476,7 +531,7 @@ def perfect_broadcast_channel(n_in: int, m_out: int, r: float) -> Optional[Chann
 
 
 # ---------------------------------------------------------------------------
-# scaling profiles (shared by thresholds and the command line)
+# scaling profiles (the command line's r' and p columns)
 
 
 @dataclass(frozen=True)

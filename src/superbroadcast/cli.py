@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import os
 import sys
 from dataclasses import dataclass
@@ -250,7 +251,10 @@ _BUILDERS = {
 # argument plumbing
 
 
-def build_parser() -> argparse.ArgumentParser:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The one parser of the process, built on the first :func:`main` call
+    (not at import, which stays cheap); parsing leaves no state in it."""
     parser = argparse.ArgumentParser(
         prog="superbroadcast",
         description="Optimal universal broadcasting: scaling curves, "
@@ -336,7 +340,7 @@ def _write(path: Optional[str], text: str) -> None:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
+    parser = _parser()
     args = parser.parse_args(argv)
     config = _config_from_args(args)
     try:

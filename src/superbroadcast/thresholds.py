@@ -4,10 +4,11 @@ For ``M > N`` output copies the scaling factor ``p(r)`` of the optimal
 broadcasting channel exceeds 1 only below some input purity ``r*(N, M)``
 (when it exceeds 1 at all).  The optimal map has ``r' = (M+2)/M * F_N(r)``
 with ``F_N`` free of ``M``, so a pair superbroadcasts iff ``(M+2) K_N > M``,
-decided exactly (see :func:`r_star`), and the largest output count
-``M*(N)`` has a closed form.  Every threshold bisects the exact bracket
-``[0, 1]`` on the one ``(N, N+1)`` curve per ``N``, against the exact ratio
-that carries ``M``; power laws fit ``1 - r*`` at large ``N``.
+decided exactly for ``N <= 5`` and certain from ``N = 6`` (see
+:func:`r_star`), and the largest output count ``M*(N)`` has a closed form.
+Every threshold bisects the exact bracket ``[0, 1]`` on ``F_N`` itself, in
+its O(N) binomial form, against the ratio ``M/(M+2)`` that carries ``M``;
+no curve or map is built.  Power laws fit ``1 - r*`` at large ``N``.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from typing import Iterable, NamedTuple, Optional
 
 import numpy as np
 
-from .analysis import _zero_slope, scaling_profile
+from .analysis import _f_n, _zero_slope
 
 __all__ = [
     "GRID_STEPS",
@@ -34,6 +35,10 @@ __all__ = [
 # Cells of [0, 1] at the coarsest bracket r_star reports: its bracket is
 # never wider than 1/GRID_STEPS, whatever the tolerance.
 GRID_STEPS = 512
+
+# K_N increases with N and K_6 = 49/48 > 1 (see analysis._zero_slope), so
+# K_N < 1, a bounded M*, happens only up to this N.
+_LAST_BOUNDED_N = 5
 
 
 @dataclass(frozen=True)
@@ -87,30 +92,31 @@ def r_star(n_in: int, m_out: int, tol: float = 1e-6) -> ThresholdResult:
 
     ``p(r) = (M+2)/M * F_N(r)/r``, and where ``K_N = lim F_N(r)/r`` is below
     1 (``N <= 5``) it is also the maximum of ``F_N(r)/r``; so a pair
-    superbroadcasts iff ``(M+2) K_N > M``, and an absent one returns before
-    any curve is built.  A present pair has ``p(0) > 1`` and
+    superbroadcasts iff ``(M+2) K_N > M``, i.e. ``M <= M*(N)``, and an absent
+    one returns before ``F_N`` is evaluated.  From ``N = 6`` on ``K_N > 1``
+    and every pair is present.  A present pair has ``p(0) > 1`` and
     ``p(1) = N(M+2)/(M(N+2)) < 1``, so ``[0, 1]`` brackets the root of
-    ``F_N(r)/r = M/(M+2)``.  Bisection tests it on the one ``(N, N+1)``
-    curve, ``r'_{N+1} >= ratio * r`` with the correctly rounded
-    ``ratio = (N+3) M / ((N+1)(M+2))`` (exactly 1 at ``M = N+1``), and
-    stops once the bracket is no wider than ``tol`` and ``1/GRID_STEPS``.
-    This relies on ``p`` falling monotonically in ``r``, so that ``p = 1``
-    has a single crossing; ``test_scaling_factor_never_increases_on_grid``
-    is the evidence, for every ``N`` the CLI and the benchmark reach
-    (``p``'s shape in ``r`` is free of ``M``).
+    ``F_N(r)/r = M/(M+2)``.  Bisection tests ``F_N(r) >= ratio * r`` with
+    the correctly rounded ``ratio = M/(M+2)``, each point in O(sqrt N) from
+    the binomial form of ``F_N`` (O(N) memory per ``N``), and stops once the
+    bracket is no wider than ``tol`` and ``1/GRID_STEPS``.  This relies on
+    ``F_N(r)/r`` falling monotonically in ``r``, so that ``p = 1`` has a
+    single crossing; ``test_scaling_factor_never_increases_on_grid`` is the
+    evidence, for every ``N`` the CLI and the benchmark reach and on to
+    ``N = 10^5``.
     """
     if not m_out > n_in >= 1:
         raise ValueError(f"need M > N >= 1, got N={n_in}, M={m_out}")
     if not tol >= 1e-10:
         raise ValueError(f"tolerance {tol} below the supported 1e-10")
-    if not (m_out + 2) * _zero_slope(n_in) > m_out:
+    bound = _exact_m_star(n_in)
+    if bound is not None and m_out > bound:
         return ThresholdResult(n_in, m_out, None, 0.0)
-    curve = scaling_profile(n_in, n_in + 1)
-    ratio = ((n_in + 3) * m_out) / ((n_in + 1) * (m_out + 2))
+    ratio = m_out / (m_out + 2)
     lo, hi = 0.0, 1.0
     while hi - lo > min(tol, 1.0 / GRID_STEPS):
         mid = 0.5 * (lo + hi)
-        if curve.r_prime(mid) >= ratio * mid:
+        if _f_n(n_in, mid) >= ratio * mid:
             lo = mid
         else:
             hi = mid
@@ -119,10 +125,11 @@ def r_star(n_in: int, m_out: int, tol: float = 1e-6) -> ThresholdResult:
 
 def _exact_m_star(n_in: int) -> Optional[int]:
     """``M*(N)``, the largest ``M`` with ``(M+2) K_N > M``; ``None`` when
-    ``K_N >= 1`` (unbounded), else ``M < 2a/(b-a)`` for ``K_N = a/b``."""
-    k = _zero_slope(n_in)
-    if k >= 1:
+    ``K_N >= 1`` (unbounded, every ``N >= 6``), else ``M < 2a/(b-a)`` for
+    ``K_N = a/b``."""
+    if n_in > _LAST_BOUNDED_N:
         return None
+    k = _zero_slope(n_in)
     a, b = k.numerator, k.denominator
     return max(n_in, (2 * a - 1) // (b - a))
 
@@ -152,11 +159,12 @@ def limiting_threshold(n_in: int, tol: float = 1e-6) -> float:
     ``M = low -> 2 low`` equals its increment: the limit is
     ``b + (b - a)`` for ``a = r*(N, low)``, ``b = r*(N, 2 low)``, with
     ``low = 1024`` below ``N = 1024`` and ``low = 2N`` from there.  Both
-    rungs bisect the one ``(N, N+1)`` curve (see :func:`r_star`).  Raises
-    for ``K_N <= 1`` (``N <= 5``), where ``p(0) -> K_N`` leaves no limit.
+    rungs bisect ``F_N`` (see :func:`r_star`), so ``N = 10^5`` takes well
+    under a second.  Raises for ``K_N <= 1`` (``N <= 5``), where
+    ``p(0) -> K_N`` leaves no limit.
     """
-    k = _zero_slope(n_in)
-    if k <= 1:
+    if n_in <= _LAST_BOUNDED_N:
+        k = _zero_slope(n_in)
         raise ValueError(f"r* has no M -> oo limit at N={n_in}: p(0) -> K_N = {k} <= 1")
     low = 1024 if n_in < 1024 else 2 * n_in
     a, b = (r_star(n_in, m, tol).r_star for m in (low, 2 * low))
@@ -180,8 +188,8 @@ def asymptotic_fit(
     ``curve="adjacent"`` follows ``r*(N, N+1)``.  ``curve="maximal"``
     follows ``r*(N, M*(N))``; ``M*`` is unbounded at every ``N`` of the
     fit, so that is the ``M -> oo`` limit of ``r*``, obtained by geometric
-    extrapolation over one doubling of ``M``.  Both read the one
-    ``(N, N+1)`` curve per ``N``.  Requires all ``N >= 10`` (the asymptotic
+    extrapolation over one doubling of ``M``.  Both bisect ``F_N`` (see
+    :func:`r_star`).  Requires all ``N >= 10`` (the asymptotic
     regime), where every pair superbroadcasts.
     """
     if curve not in ("adjacent", "maximal"):

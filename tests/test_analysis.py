@@ -1,6 +1,7 @@
 """Closed-form output Bloch lengths, scaling factors, and the argmax search."""
 
 import dataclasses
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -13,6 +14,8 @@ from superbroadcast.analysis import (
     FAST_KERNEL_MIN_SIZE,
     BlochCurve,
     _alpha_polarization,
+    _binomial_coefficients,
+    _f_n,
     _moments_fast,
     _most_depolarizing_map,
     _polarization,
@@ -32,7 +35,14 @@ from superbroadcast.channels import (
     mix,
     validate_trace_preserving,
 )
-from superbroadcast.su2core import HalfInt, cg_square, coupled_range, projections
+from superbroadcast.su2core import (
+    HalfInt,
+    cg_square,
+    coupled_range,
+    multiplicity,
+    projections,
+    spin_range,
+)
 
 
 def _cg_polarization(dl, dj, dJ):
@@ -357,3 +367,63 @@ def test_output_length_monotone_in_input_length():
         curve = BlochCurve(conjectured_optimal_map(n, m))
         values = curve.r_prime(np.linspace(0.0, 1.0, 101))
         assert np.all(np.diff(values) > -1e-12)
+
+
+def _exact_f_n(n, r):
+    """``F_N(r) = sum_l d_l/(l+1) sum_n (-n) w(l, n)`` in exact rationals.
+
+    The alpha-identity sector sum of the half-output-spin map, ``s = -l(M+2)``,
+    without its factor ``(M+2)/M``; O(N^2) terms, no binomial regrouping.
+    """
+    r = Fraction(r)
+    r_plus, r_minus = (1 + r) / 2, (1 - r) / 2
+    powers = [r_plus**k * r_minus ** (n - k) for k in range(n + 1)]
+    total = Fraction(0)
+    for l in spin_range(n):
+        dl = l.doubled
+        inner = sum(-dn * powers[(n - dn) // 2] for dn in range(-dl, dl + 1, 2))
+        total += multiplicity(n, l) * inner / (dl + 2)
+    return total
+
+
+def test_f_n_matches_exact_sector_sum():
+    for n in range(1, 41):
+        for r in (0.05, 0.3, 0.5, 0.77, 0.99, 1.0 - 1e-9):
+            exact = _exact_f_n(n, r)
+            assert abs(_f_n(n, r) - exact) <= 1e-13 * exact, (n, r)
+
+
+def test_f_n_matches_the_adjacent_curve():
+    # r'_{N+1} = (N+3)/(N+1) F_N: the binomial form against the per-sector
+    # curve, for every N up to 66, each N the large-n-thresholds benchmark
+    # draws (82..86, ..., 198..202) and every tenth N in between
+    rs = np.arange(1, 65) / 64
+    large = [c + d for c in (84, 108, 136, 168, 200) for d in range(-2, 3)]
+    for n in sorted({*range(1, 67), *range(70, 203, 10), *large}):
+        curve = scaling_profile(n, n + 1).r_prime(rs) * (n + 1) / (n + 3)
+        assert_allclose([_f_n(n, r) for r in rs], curve, rtol=1e-12, atol=0, err_msg=f"N={n}")
+
+
+def test_f_n_endpoints_are_exact():
+    for n in (*range(1, 30), 1000, 10**5):
+        assert _f_n(n, 0.0) == 0.0
+        # only k = N carries weight at r = 1: F_N(1) = b_N = N/(N+2)
+        top = _binomial_coefficients(n)[-1]
+        assert _f_n(n, 1.0) == top
+        assert abs(Fraction(top) - Fraction(n, n + 2)) <= math.ulp(top)
+
+
+def test_f_n_window_matches_full_range_sum():
+    # the pmf stops 40 sqrt(N) + 40 steps from its mode; against every k,
+    # with the pmf from log-gamma, the omitted tail is invisible
+    for n in (10**4, 10**5):
+        k = np.arange(n + 1)
+        log_choose = np.array([math.lgamma(n + 1) - math.lgamma(i + 1) - math.lgamma(n - i + 1)
+                               for i in range(n + 1)])
+        b = _binomial_coefficients(n)
+        for r in (1e-3, 0.3, 0.9, 0.999, 1.0 - 1e-6, 1.0 - 1e-10):
+            r_plus, r_minus = (1.0 + r) / 2.0, (1.0 - r) / 2.0
+            log_pmf = log_choose + k * math.log(r_plus) + (n - k) * math.log(r_minus)
+            pmf = np.exp(log_pmf - log_pmf.max())
+            full = (b * pmf).sum() / pmf.sum()
+            assert_allclose(_f_n(n, r), full, rtol=1e-9, err_msg=f"N={n}, r={r}")

@@ -1,5 +1,6 @@
 """Command-line interface: CSV output, sentinels, exit codes, determinism."""
 
+import argparse
 import os
 import subprocess
 import sys
@@ -8,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from superbroadcast import cli
+from superbroadcast.analysis import _f_n
 from superbroadcast.cli import (
     RunConfig,
     figure3_rows,
@@ -17,6 +19,7 @@ from superbroadcast.cli import (
     threshold_rows,
     verify_lines,
 )
+from superbroadcast.thresholds import r_star
 
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -118,6 +121,59 @@ def test_cli_threshold_at_a_million_outputs():
     assert result.stdout.splitlines()[1] == "12,1000000,0.805558681488"
 
 
+def test_cli_threshold_at_a_hundred_thousand_inputs(capsys):
+    n, m = 100_000, 100_001
+    assert cli.main(["threshold", "--n", str(n), "--m", str(m)]) == 0
+    row = capsys.readouterr().out.splitlines()[1]
+    result = r_star(n, m)
+    assert row == f"{n},{m},{result.r_star:.12g}"
+    # p - 1 = (M+2)/M F_N(r)/r - 1 changes sign across the reported bracket
+    lo = result.r_star - result.bracket_width / 2
+    hi = result.r_star + result.bracket_width / 2
+    ratio = m / (m + 2)
+    assert _f_n(n, lo) >= ratio * lo
+    assert _f_n(n, hi) < ratio * hi
+
+
+def test_cli_figure3_past_a_thousand_inputs(capsys):
+    assert cli.main(["figure3", "--n-range", "1000..1002"]) == 0
+    rows = [line.split(",") for line in capsys.readouterr().out.splitlines()]
+    assert [row[0] for row in rows] == ["n", "1000", "1001", "1002"]
+    for _, adjacent, maximal in rows[1:]:
+        assert 0.0 < float(adjacent) < float(maximal) < 1.0
+
+
+def test_cli_builds_its_parser_once(monkeypatch, capsys):
+    seen = []
+    parse_args = argparse.ArgumentParser.parse_args
+
+    def recording(self, *args, **kwargs):
+        seen.append(self)
+        return parse_args(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_args", recording)
+    assert cli.main(["threshold", "--n", "4", "--m", "5"]) == 0
+    assert cli.main(["mstar", "--n", "4"]) == 0
+    assert len(seen) == 2 and seen[0] is seen[1]
+    capsys.readouterr()
+    # after successful calls, errors read as in a fresh process
+    for argv in (
+        ["threshold", "--n", "4"],
+        ["threshold", "--n", "4", "--m", "4"],
+        ["scaling", "--n", "4", "--m", "5", "--steps", "1"],
+        ["figure3", "--cap", "7"],
+        ["nonsense"],
+    ):
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main(argv)
+        assert exit_info.value.code == 2
+        fresh = run_cli(*argv)
+        assert fresh.returncode == 2
+        assert capsys.readouterr().err == fresh.stderr
+    assert cli.main(["threshold", "--n", "4", "--m", "5"]) == 0
+    assert capsys.readouterr().out.splitlines()[1].startswith("4,5,0.7867")
+
+
 def test_cli_mstar_sentinel():
     result = run_cli("mstar", "--n", "6", "--cap", "60")
     assert result.returncode == 0
@@ -137,9 +193,11 @@ def test_cli_invalid_arguments_exit_2(tmp_path):
     assert "unrecognized arguments: --cap" in no_cap.stderr
     assert run_cli("threshold", "--n", "4", "--m", "5", "--tol", "nan").returncode == 2
     # sizes whose multiplicities overflow a float exit cleanly, no traceback
-    huge = run_cli("threshold", "--n", "1100", "--m", "1101")
+    # (thresholds use no multiplicity; the per-sector curves still do)
+    huge = run_cli("scaling", "--n", "1100", "--m", "1101")
     assert huge.returncode == 2
     assert "Traceback" not in huge.stderr
+    assert run_cli("threshold", "--n", "1100", "--m", "1101").returncode == 0
     # an output directory that does not exist: one message, no staging file
     target = tmp_path / "missing" / "x.csv"
     unwritable = run_cli("threshold", "--n", "4", "--m", "5", "--out", str(target))

@@ -1,14 +1,15 @@
 """Purity thresholds r*, maximal output counts M*, and power-law fits."""
 
+import time
 from fractions import Fraction
 from math import comb
 
 import numpy as np
 import pytest
 
-from superbroadcast import thresholds
+from superbroadcast import analysis, thresholds
 from superbroadcast.analysis import (
-    ScalingProfile,
+    _f_n,
     _zero_slope,
     half_spin_scaling_at_zero,
     scaling_profile,
@@ -203,11 +204,24 @@ def test_m_star_matches_explicit_walk():
             assert m_star(n, cap=cap) == MStarResult(n, last, cap, capped)
 
 
-def test_m_star_answers_unbounded_inputs_without_walking(monkeypatch):
+def _refuse(monkeypatch, owner, name):
     def refuse(*args):
-        raise AssertionError(f"evaluated a curve at {args}")
+        raise AssertionError(f"called {name} with {args}")
 
-    monkeypatch.setattr(thresholds, "scaling_profile", refuse)
+    monkeypatch.setattr(owner, name, refuse)
+
+
+def _refuse_curves(monkeypatch):
+    """Make building any profile, curve or extremal map of one an error."""
+    assert not hasattr(thresholds, "scaling_profile")
+    for name in ("scaling_profile", "_cached_curve"):
+        _refuse(monkeypatch, analysis, name)
+    for cls in (analysis.ScalingProfile, analysis.BlochCurve, analysis.ExtremalMap):
+        _refuse(monkeypatch, cls, "__init__")
+
+
+def test_m_star_answers_unbounded_inputs_without_walking(monkeypatch):
+    _refuse(monkeypatch, thresholds, "_f_n")
     for n in range(1, 15):
         for cap in (n + 1, n + 2, 7, 8, 21, 22, 200, 10**9):
             if cap > n:
@@ -221,25 +235,48 @@ def test_m_star_answers_unbounded_inputs_without_walking(monkeypatch):
     assert not r_star(3, 10**6).exists
 
 
-def test_r_star_evaluates_r_prime_at_scalars_only(monkeypatch):
+def test_r_star_evaluates_f_n_at_scalars_only(monkeypatch):
     calls = []
-    original = ScalingProfile.r_prime
 
-    def counted(self, r):
-        assert np.ndim(r) == 0, f"r' evaluated at an array of shape {np.shape(r)}"
+    def counted(n, r):
+        assert np.ndim(r) == 0, f"F_N evaluated at an array of shape {np.shape(r)}"
         calls.append(r)
-        return original(self, r)
+        return _f_n(n, r)
 
-    monkeypatch.setattr(ScalingProfile, "r_prime", counted)
+    monkeypatch.setattr(thresholds, "_f_n", counted)
     # the exact bracket [0, 1] halves to 1/512 in 9 steps, then on to tol
     for tol, evals in ((1e-6, 20), (1e-8, 27), (0.01, 9)):
         calls.clear()
         r_star(4, 5, tol=tol)
         assert len(calls) == evals
-    # 4 -> 8 has p(0) < 1 exactly: decided without evaluating a curve
+    # 4 -> 8 has p(0) < 1 exactly: decided without evaluating F_N
     calls.clear()
     assert not r_star(4, 8).exists
     assert calls == []
+
+
+def test_presence_reads_zero_slope_only_up_to_five(monkeypatch):
+    # K_N increases with N and K_6 > 1 (test_zero_slope_increases_with_inputs),
+    # so from N = 6 on presence is certain and needs no 2^N-denominator sum
+    asked = []
+
+    def recording(n):
+        asked.append(n)
+        return _zero_slope(n)
+
+    monkeypatch.setattr(thresholds, "_zero_slope", recording)
+    for n in range(1, 13):
+        m_star(n)
+        r_star(n, n + 1, tol=0.01)
+        r_star(n, 10**6, tol=0.01)
+        if n <= 5:
+            with pytest.raises(ValueError):
+                limiting_threshold(n)
+    limiting_threshold(6, tol=0.01)
+    assert set(asked) == {1, 2, 3, 4, 5}
+    start = time.perf_counter()
+    assert m_star(10**5, cap=10**5 + 1) == MStarResult(10**5, 10**5 + 1, 10**5 + 1, True)
+    assert time.perf_counter() - start < 0.1
 
 
 def test_threshold_fields_are_plain_floats():
@@ -291,6 +328,12 @@ def test_scaling_factor_never_increases_on_grid():
     for n in [*range(1, 67), *large]:
         steps = np.diff(scaling_profile(n, n + 1).p(grid))
         assert np.max(steps) <= 1e-12, f"p rises by {np.max(steps)} at N={n}"
+    # on to N = 10^5 through F_N itself, where the root sits at a gap
+    # 1 - r* ~ 2/N^2 far inside the last cell
+    rs = np.union1d(grid[1:], 1.0 - 10.0 ** -np.arange(2, 13))
+    for n in (300, 10**3, 10**4, 10**5):
+        steps = np.diff([_f_n(n, r) / r for r in rs])
+        assert np.max(steps) <= 1e-12, f"F_N/r rises by {np.max(steps)} at N={n}"
 
 
 def _recording(monkeypatch, name):
@@ -306,21 +349,18 @@ def _recording(monkeypatch, name):
     return requested
 
 
-def test_r_star_reads_only_the_adjacent_curve(monkeypatch):
-    requested = _recording(monkeypatch, "scaling_profile")
+def test_r_star_builds_no_curve(monkeypatch):
+    _refuse_curves(monkeypatch)
     for n in (4, 12, 40):
         for m in (n + 3, 2 * n + 1, 1024, 2048, 10**6):
             r_star(n, m)
-        assert set(requested) == {(n, n + 1)}
-        requested.clear()
 
 
 def test_limiting_threshold_uses_last_two_rungs(monkeypatch):
+    _refuse_curves(monkeypatch)
     rungs = _recording(monkeypatch, "r_star")
-    built = _recording(monkeypatch, "scaling_profile")
     limiting_threshold(6)
     assert set(rungs) == {(6, 1024), (6, 2048)}
-    assert set(built) == {(6, 7)}
 
 
 def test_limiting_threshold_extrapolates_at_every_size(monkeypatch):
@@ -351,10 +391,7 @@ def test_limiting_threshold_bounds():
 
 
 def test_limiting_threshold_refuses_bounded_inputs(monkeypatch):
-    def refuse(*args):
-        raise AssertionError(f"built a profile at {args}")
-
-    monkeypatch.setattr(thresholds, "scaling_profile", refuse)
+    _refuse(monkeypatch, thresholds, "_f_n")
     for n, k in ((1, "1/3"), (4, "19/24"), (5, "11/12")):
         with pytest.raises(ValueError, match=f"no M -> oo limit at N={n}: p\\(0\\) -> K_N = {k}"):
             limiting_threshold(n)
