@@ -25,10 +25,13 @@ for every ``r``; it is the half-output-spin map.
 
 Moments are the exact rational ``alpha 2n`` rounded once to float, except
 in anti-stretched sectors ``J = |j - l|`` of size ``2j + 2l >=
-FAST_KERNEL_MIN_SIZE``, where a vectorized log-factorial kernel stays
-because the reference digests in ``perfbench/golden.json`` pin its
-last-digit rounding of the figure-2 table.  The dense-matrix oracle in
-:mod:`superbroadcast.oracle` checks both against explicit output states.
+FAST_KERNEL_MIN_SIZE``, where a log-factorial kernel stays because the
+reference digests in ``perfbench/golden.json`` pin its last-digit rounding
+of the figure-2 table.  It works in Hankel form and repeats the per-entry
+operation order of the index-gather form those digests were taken with,
+so it keeps every bit in about one matrix of memory.  The dense-matrix
+oracle in :mod:`superbroadcast.oracle` checks both against explicit
+output states.
 
 ``r'`` is linear in the channel weights, so one :class:`BlochCurve` serves
 extremal maps (through their exact weights) and convex mixtures alike.
@@ -50,6 +53,7 @@ from functools import lru_cache
 from typing import Callable, Optional, Union
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .channels import (
     ChannelCoeffs,
@@ -177,38 +181,38 @@ def _moments_fast(dl: int, dj: int, dJ: int) -> tuple[np.ndarray, np.ndarray]:
     """Mass ``sum_m <J m+n|j m, l n>^2`` and polarization moments, log-factorial kernel.
 
     Only valid for anti-stretched coupling ``J = |j - l|``, where the
-    Clebsch-Gordan square collapses to a single ratio of factorials.
+    Clebsch-Gordan square collapses to a single ratio of factorials.  With
+    row ``a = n + l`` and column ``b = m + j``, its log is a scalar, plus
+    two vectors along the larger spin, minus two along the smaller, minus
+    two terms that depend on ``a + b`` only (Hankel: strided views of one
+    padded table).  Each entry takes the operations of the index-gather
+    form in ``tests/test_moments_kernel.py`` in the same order, so the bits
+    pinned by the ``figure2`` digest hold; the one full-size buffer stays
+    C-ordered with its zeros, as numpy's pairwise sums need for them.
     """
     if dJ != abs(dj - dl):
         raise ValueError("fast kernel requires the anti-stretched coupling J = |j - l|")
-    table = _log_factorials(dj + dl + 2)
-    dm = np.arange(-dj, dj + 1, 2)
-    dn = np.arange(-dl, dl + 1, 2)
-    dmt = dn[:, None] + dm[None, :]
+    t = _log_factorials(dj + dl + 2)
+    small, big = min(dl, dj), max(dl, dj)
+    c = math.log(dJ + 1) + t[small] + t[dJ] - t[big + 1]
+    big_side = (c + t[: big + 1]) + t[big::-1]
+    small_up, small_down = t[: small + 1], t[small::-1]
     if dj >= dl:
-        d_big, dm_big = dj, dm[None, :]
-        d_small, dm_small = dl, dn[:, None]
+        small_up, small_down = small_up[:, None], small_down[:, None]
     else:
-        d_big, dm_big = dl, dn[:, None]
-        d_small, dm_small = dj, dm[None, :]
-    ok = np.abs(dmt) <= dJ
-    idx_p = np.where(ok, (dJ + dmt) // 2, 0)
-    idx_m = np.where(ok, (dJ - dmt) // 2, 0)
-    log_square = (
-        math.log(dJ + 1)
-        + table[d_small]
-        + table[dJ]
-        - table[d_big + 1]
-        + table[(d_big + dm_big) // 2]
-        + table[(d_big - dm_big) // 2]
-        - table[(d_small + dm_small) // 2]
-        - table[(d_small - dm_small) // 2]
-        - table[idx_p]
-        - table[idx_m]
-    )
-    square = np.exp(np.where(ok, log_square, -np.inf))
+        big_side = big_side[:, None]
+    # Last come t[a+b-small] and t[big-a-b]; padding the table with +inf
+    # outside [0, dJ] gives -inf exactly where |dn+dm| > dJ, and exp 0.0.
+    padded = np.full(dl + dj + 1, np.inf)
+    padded[small : big + 1] = t[: dJ + 1]
+    square = np.subtract(big_side, small_up)
+    square -= small_down
+    for hankel in (padded, padded[::-1]):
+        square -= as_strided(hankel, square.shape, hankel.strides * 2, writeable=False)
+    np.exp(square, out=square)
     mass = square.sum(axis=1)
-    pol = (square * dm[None, :]).sum(axis=1)
+    square *= np.arange(-dj, dj + 1, 2)
+    pol = square.sum(axis=1)
     # Internal cross-check: each mass must equal (2J+1)/(2l+1) exactly
     # (the trace identity of the coupled projector).
     expected = (dJ + 1) / (dl + 1)

@@ -190,7 +190,8 @@ def asymptotic_fit(
     fit, so that is the ``M -> oo`` limit of ``r*``, obtained by geometric
     extrapolation over one doubling of ``M``.  Both bisect ``F_N`` (see
     :func:`r_star`).  Requires all ``N >= 10`` (the asymptotic
-    regime), where every pair superbroadcasts.
+    regime), where every pair superbroadcasts, and every gap ``1 - r*``
+    at least ``100 * tol``, so that the bisection resolves it to 1%.
     """
     if curve not in ("adjacent", "maximal"):
         raise ValueError(f"unknown curve selector {curve!r}")
@@ -206,5 +207,7 @@ def asymptotic_fit(
             gaps.append(1.0 - r_star(n, n + 1, tol).r_star)
         else:
             gaps.append(1.0 - _maximal_threshold(n, tol))
+        if gaps[-1] < 100 * tol:
+            raise ValueError(f"gap {gaps[-1]:.3g} at N={n} is below 100 * tol, tol={tol:g}")
     slope, intercept = np.polyfit(np.log(ns), np.log(gaps), 1)
     return PowerLawFit(slope=float(slope), prefactor=float(math.exp(intercept)))

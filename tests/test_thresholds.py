@@ -413,6 +413,14 @@ def test_asymptotic_fit_validation():
         asymptotic_fit([20], "adjacent")  # a line needs two points
 
 
+def test_asymptotic_fit_refuses_gaps_tol_cannot_resolve():
+    # 1 - r*(N, N+1) ~ 2/N^2 is 2e-6 at N = 10^3, only twice the default tol
+    with pytest.raises(ValueError, match=r"gap .* at N=1000 is below 100 \* tol, tol=1e-06"):
+        asymptotic_fit([10**3, 10**4, 10**5], "adjacent")
+    fit = asymptotic_fit([10**3, 10**4], "adjacent", tol=1e-10)
+    assert abs(fit.slope + 2.0) < 1e-3
+
+
 def test_gap_follows_inverse_square_pointwise():
     # 1 - r*(N, N+1) within 25% of 2/N^2 already at moderate N
     for n in (30, 60):
