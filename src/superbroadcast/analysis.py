@@ -18,10 +18,11 @@ Wigner-Eckart theorem the polarization moment is linear in ``n``:
     alpha = (2J+1) s / (2l(l+1)(2l+1)),   s = J(J+1) - j(j+1) - l(l+1).
 
 Sector ``l`` therefore adds ``d_l s / (M l(l+1)) * sum_n n w(l, n)`` to
-``r'``: the integer score ``s`` times a factor that depends only on ``l``
-and ``r`` and is negative for ``r > 0``.  The argmax of ``r'`` over the
-extremal maps splits into one exact argmin of ``s`` per sector, the same
-for every ``r``; it is the half-output-spin map.
+``r'``: the score ``s`` times a factor that depends only on ``l``
+and ``r``, negative for ``0 < r < 1`` and never positive.  The argmax of
+``r'`` over the extremal maps splits into one exact argmin of ``s`` per
+sector, the same for every ``r``; it is the half-output-spin map, whose
+closed form :func:`optimal_map` derives.
 
 Moments are the exact rational ``alpha 2n`` rounded once to float, except
 in anti-stretched sectors ``J = |j - l|`` of size ``2j + 2l >=
@@ -50,7 +51,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Optional, Union
+from typing import Optional, Union
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
@@ -216,7 +217,7 @@ def _moments_fast(dl: int, dj: int, dJ: int) -> tuple[np.ndarray, np.ndarray]:
     # Internal cross-check: each mass must equal (2J+1)/(2l+1) exactly
     # (the trace identity of the coupled projector).
     expected = (dJ + 1) / (dl + 1)
-    if not np.allclose(mass, expected, rtol=1e-8, atol=1e-12):
+    if not (np.abs(mass - expected) <= 1e-12 + 1e-8 * expected).all():
         raise ArithmeticError(
             f"log-factorial kernel lost mass in sector l={HalfInt(dl)}, "
             f"j={HalfInt(dj)}, J={HalfInt(dJ)}"
@@ -434,7 +435,7 @@ def half_spin_scaling_at_zero(n_in: int, m_out: int) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# optimal map search
+# the optimal and the most depolarizing map
 
 
 @dataclass(frozen=True)
@@ -442,14 +443,14 @@ class OptimalMapResult:
     """Outcome of maximizing ``r'`` over the extremal maps.
 
     Attributes:
-        best_map: the maximizing map.  Only a spin-0 input sector ties (it
-            contributes nothing for every choice); there the tie goes to the
-            half-output-spin choice.
+        best_map: the maximizing map, the half-output-spin map of
+            :func:`superbroadcast.channels.conjectured_optimal_map`.
         report: its Bloch data at the requested ``r``.
         matches_conjecture: whether it coincides with the half-output-spin
-            rule of :func:`superbroadcast.channels.conjectured_optimal_map`.
-        exhaustive: always True; the per-sector argmax covers every map.
-        candidates: number of extremal maps in the search space.
+            rule; always True, since the closed form derived in
+            :func:`optimal_map` is that rule.
+        exhaustive: always True; the derivation covers every map.
+        candidates: number of extremal maps the argmax ranges over.
     """
 
     best_map: ExtremalMap
@@ -459,43 +460,28 @@ class OptimalMapResult:
     candidates: int
 
 
-def _per_sector_map(n_in: int, m_out: int, key: Callable[..., object]) -> ExtremalMap:
-    """The map taking, for each input spin ``l``, the legal ``(j, J)`` with
-    the largest ``key(2l, 2j, 2J)``; ties go to the first in the order of
-    :func:`superbroadcast.channels.enumerate_extremal` (ascending ``j``,
-    then ``J``).
-
-    ``key`` must be strictly monotone in ``J`` for fixed ``(l, j)``, as ``s``
-    is, so only the ends ``J = |j - l|`` and ``J = j + l`` are scored.
-    """
-    outs, coupled = [], []
-    for dl in (l.doubled for l in spin_range(n_in)):
-        choices = (
-            (dj, dJ)
-            for dj in range(m_out % 2, m_out + 1, 2)
-            for dJ in sorted({abs(dj - dl), dj + dl})
-        )
-        dj, dJ = max(choices, key=lambda c: key(dl, *c))
-        outs.append(HalfInt(dj))
-        coupled.append(HalfInt(dJ))
-    return ExtremalMap(n_in, m_out, tuple(outs), tuple(coupled))
-
-
 def optimal_map(n_in: int, m_out: int, r: float) -> OptimalMapResult:
     """Exact argmax of ``r'`` over all extremal maps at ``r``.
 
-    The smallest score ``s`` in every sector, for every ``r`` (see the
-    module docstring; the ``r -> 0`` slope ranks maps the same way).  Ties,
-    only at ``l = 0``, go to the half-output-spin choice ``j = J = M/2``.
+    Each sector adds its score ``s = J(J+1) - j(j+1) - l(l+1)`` times a
+    factor that depends only on ``l`` and ``r``, negative for ``0 < r < 1``
+    and never positive (module docstring), so the argmax takes the smallest
+    ``s`` in every sector, for every ``r``.  ``s`` grows with ``J``, so
+    ``J = |j - l|``, where ``s = -2 min(j, l) (max(j, l) + 1)``: for
+    ``l > 0`` strictly falling in ``j``, so the unique minimum is at
+    ``j = M/2``, ``J = |M/2 - l|`` (``s = -l(M+2)`` for ``l <= M/2``).
+    At ``l = 0`` every choice scores 0, and the tie goes to the
+    half-output-spin choice ``j = J = M/2``.  The map is therefore
+    :func:`superbroadcast.channels.conjectured_optimal_map`.
     """
     r = float(r)
     if not 0.0 <= r <= 1.0:
         raise ValueError(f"Bloch length {r} outside [0, 1]")
-    best = _per_sector_map(n_in, m_out, lambda dl, dj, dJ: (-_sector_score(dl, dj, dJ), dj))
+    best = conjectured_optimal_map(n_in, m_out)
     return OptimalMapResult(
         best_map=best,
         report=single_copy_bloch(best, r),
-        matches_conjecture=best == conjectured_optimal_map(n_in, m_out),
+        matches_conjecture=True,
         exhaustive=True,
         candidates=extremal_count(n_in, m_out),
     )
@@ -504,11 +490,19 @@ def optimal_map(n_in: int, m_out: int, r: float) -> OptimalMapResult:
 def _most_depolarizing_map(n_in: int, m_out: int) -> ExtremalMap:
     """Extremal map with the smallest ``r'`` at every ``0 < r < 1``.
 
-    The per-sector argmax of ``s``.  Ties (only at ``l = 0``) go to the
-    first choice in enumeration order, which makes the map the first
-    minimizer over :func:`superbroadcast.channels.enumerate_extremal`.
+    The largest ``s`` in every sector: ``J = j + l``, where ``s = 2jl``,
+    at ``j = M/2`` for ``l > 0``.  At ``l = 0`` every choice scores 0, and
+    the tie goes to the first choice in the order of
+    :func:`superbroadcast.channels.enumerate_extremal`, the smallest ``j``
+    with ``J = j``; so the map is the first minimizer over that order.
     """
-    return _per_sector_map(n_in, m_out, _sector_score)
+    top = HalfInt(m_out)
+    outs, coupled = [], []
+    for l in spin_range(n_in):
+        j = top if l.doubled else HalfInt(m_out % 2)
+        outs.append(j)
+        coupled.append(j + l)
+    return ExtremalMap(n_in, m_out, tuple(outs), tuple(coupled))
 
 
 def perfect_broadcast_channel(n_in: int, m_out: int, r: float) -> Optional[ChannelCoeffs]:

@@ -197,8 +197,9 @@ def conjectured_optimal_map(n_in: int, m_out: int) -> ExtremalMap:
     spin ``m_out / 2`` coupled down to the smallest reachable total spin
     ``|l - m_out / 2|``.
 
-    This is the map :func:`superbroadcast.analysis.optimal_map` finds as the
-    exact per-sector argmax.
+    It is the exact argmax of ``r'`` over all extremal maps at every ``r``,
+    the closed form :func:`superbroadcast.analysis.optimal_map` derives and
+    returns.
     """
     top = HalfInt(m_out)
     outs = []

@@ -10,6 +10,14 @@ Subcommands::
     figure3      threshold gaps 1 - r* versus N for both output choices
     verify       dense-matrix checks of the closed forms, exit 1 on failure
 
+``optimal-map`` and ``verify`` take the half-output-spin map, the exact
+argmax (:func:`superbroadcast.analysis.optimal_map`), straight from
+:func:`superbroadcast.channels.conjectured_optimal_map`, so ``optimal-map``
+evaluates no curve.  Their ``--r`` is accepted and validated, but has
+never changed their output; it stays so that existing command lines, such
+as the ``optimal-map`` queries of ``perfbench``, keep working.  Every
+default lives in :class:`RunConfig`.
+
 All numeric CSV fields use 12 significant digits.  Output is assembled in
 memory, written to a temporary file beside the target and renamed over it,
 so an error never leaves a partial or truncated file.
@@ -30,8 +38,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .analysis import optimal_map, scaling_profile
-from .channels import coefficients_for, validate_trace_preserving
+from .analysis import half_spin_scaling_at_zero, scaling_profile
+from .channels import coefficients_for, conjectured_optimal_map, validate_trace_preserving
 from .oracle import (
     CheckResult,
     SizeCapError,
@@ -44,13 +52,11 @@ from .thresholds import _maximal_threshold, m_star, r_star
 
 __all__ = ["RunConfig", "main"]
 
-# r grid used when probing whether an N = 1 channel ever reaches p >= 1.
-_NO_BROADCAST_GRID = 257
-
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Validated arguments of one CLI invocation."""
+    """Validated arguments of one CLI invocation; the one home of every
+    default (the parser supplies none)."""
 
     command: str
     n_in: Optional[int] = None
@@ -142,9 +148,8 @@ def mstar_rows(config: RunConfig) -> list[list[str]]:
 
 
 def optimal_map_rows(config: RunConfig) -> list[list[str]]:
-    result = optimal_map(config.n_in, config.m_out, config.r)
     rows = [["input_spin", "output_spin", "coupled_spin"]]
-    for l, j, J in result.best_map.sectors():
+    for l, j, J in conjectured_optimal_map(config.n_in, config.m_out).sectors():
         rows.append([str(l), str(j), str(J)])
     return rows
 
@@ -187,7 +192,7 @@ def figure3_rows(config: RunConfig) -> list[list[str]]:
 def verify_lines(config: RunConfig) -> tuple[list[str], bool]:
     """Human-readable dense-verification report and overall pass flag."""
     n, m = config.n_in, config.m_out
-    emap = optimal_map(n, m, config.r).best_map
+    emap = conjectured_optimal_map(n, m)
     coeffs = coefficients_for(emap)
     if config.inject_fault:
         key = next(iter(coeffs.weights))
@@ -219,10 +224,9 @@ def verify_lines(config: RunConfig) -> tuple[list[str], bool]:
         )
 
     if n == 1 and m > 1:
-        # the no-broadcasting theorem (M > N = 1): p stays below 1 on the
-        # whole grid, and the peak is the deviation
-        grid = np.linspace(0.0, 1.0, _NO_BROADCAST_GRID)
-        peak = float(np.max(scaling_profile(n, m).p(grid)))
+        # the no-broadcasting theorem (M > N = 1): r' is linear in r, so p
+        # is the constant p(0) = (M+2)/(3M) < 1, and it is the deviation
+        peak = float(half_spin_scaling_at_zero(n, m))
         no_broadcast = CheckResult("no_broadcasting", peak, 1.0)
         if no_broadcast.passed:
             lines.append(f"no-broadcasting confirmed (margin {1.0 - peak:.6g} below p = 1)")
@@ -263,9 +267,9 @@ def _parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add(name: str, help_text: str) -> argparse.ArgumentParser:
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("--out", dest="output_path", default=None,
-                       help="output file (default stdout)")
+        # absent options stay out of the namespace, so RunConfig's defaults apply
+        p = sub.add_parser(name, help=help_text, argument_default=argparse.SUPPRESS)
+        p.add_argument("--out", dest="output_path", help="output file (default stdout)")
         return p
 
     p = add("scaling", "p(r) of the optimal map on an r grid")
@@ -274,54 +278,41 @@ def _parser() -> argparse.ArgumentParser:
     group.add_argument("--m", dest="m_out", type=int)
     group.add_argument("--m-range", dest="m_range", type=_parse_range,
                        metavar="A..B", help="inclusive output-count range")
-    p.add_argument("--r-min", type=float, default=0.0)
-    p.add_argument("--r-max", type=float, default=1.0)
-    p.add_argument("--steps", type=int, default=101)
+    p.add_argument("--r-min", type=float)
+    p.add_argument("--r-max", type=float)
+    p.add_argument("--steps", type=int)
 
     p = add("threshold", "purity threshold r*(N, M)")
     p.add_argument("--n", dest="n_in", type=int, required=True)
     p.add_argument("--m", dest="m_out", type=int, required=True)
-    p.add_argument("--tol", type=float, default=1e-6, help="bisection tolerance")
+    p.add_argument("--tol", type=float, help="bisection tolerance")
 
     p = add("mstar", "largest output count with p(0) > 1")
     p.add_argument("--n", dest="n_in", type=int, required=True)
-    p.add_argument("--cap", type=int, default=200, help="print >=CAP from this count up")
+    p.add_argument("--cap", type=int, help="print >=CAP from this count up")
 
     p = add("optimal-map", "sector table of the argmax extremal map")
     p.add_argument("--n", dest="n_in", type=int, required=True)
     p.add_argument("--m", dest="m_out", type=int, required=True)
-    p.add_argument("--r", type=float, default=0.5)
+    p.add_argument("--r", type=float)
 
     p = add("figure2", "both scaling-curve panels")
-    p.add_argument("--r-min", type=float, default=0.0)
-    p.add_argument("--r-max", type=float, default=1.0)
-    p.add_argument("--steps", type=int, default=101)
+    p.add_argument("--r-min", type=float)
+    p.add_argument("--r-max", type=float)
+    p.add_argument("--steps", type=int)
 
     p = add("figure3", "threshold gaps 1 - r* versus N")
-    p.add_argument("--n-range", dest="n_range", type=_parse_range,
-                   metavar="A..B", default=(4, 12))
-    p.add_argument("--tol", type=float, default=1e-6, help="bisection tolerance")
+    p.add_argument("--n-range", dest="n_range", type=_parse_range, metavar="A..B")
+    p.add_argument("--tol", type=float, help="bisection tolerance")
 
     p = add("verify", "dense checks of the closed forms")
     p.add_argument("--n", dest="n_in", type=int, required=True)
     p.add_argument("--m", dest="m_out", type=int, required=True)
-    p.add_argument("--r", type=float, default=0.5)
-    p.add_argument("--seed", type=int, default=7, help="random seed")
+    p.add_argument("--r", type=float)
+    p.add_argument("--seed", type=int, help="random seed")
     p.add_argument("--inject-fault", action="store_true", help=argparse.SUPPRESS)
 
     return parser
-
-
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    fields = {
-        name: getattr(args, name)
-        for name in (
-            "n_in", "m_out", "m_range", "n_range", "r", "r_min", "r_max",
-            "steps", "tol", "cap", "seed", "output_path", "inject_fault",
-        )
-        if hasattr(args, name)
-    }
-    return RunConfig(command=args.command, **fields)
 
 
 def _write(path: Optional[str], text: str) -> None:
@@ -342,7 +333,7 @@ def _write(path: Optional[str], text: str) -> None:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = _parser()
     args = parser.parse_args(argv)
-    config = _config_from_args(args)
+    config = RunConfig(**vars(args))
     try:
         config.validate()
     except ValueError as exc:

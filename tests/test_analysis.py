@@ -1,4 +1,4 @@
-"""Closed-form output Bloch lengths, scaling factors, and the argmax search."""
+"""Closed-form output Bloch lengths, scaling factors, and the optimal map."""
 
 import dataclasses
 import math
@@ -28,6 +28,7 @@ from superbroadcast.analysis import (
     single_copy_convex,
 )
 from superbroadcast.channels import (
+    ExtremalMap,
     coefficients_for,
     conjectured_optimal_map,
     enumerate_extremal,
@@ -304,6 +305,60 @@ def test_optimal_map_exhaustive_at_every_size():
         assert result.matches_conjecture
         assert result.best_map == conjectured_optimal_map(n, m)
         assert result.candidates == extremal_count(n, m)
+
+
+def _scored_choices(dl, m):
+    """Every legal ``(2j, 2J)`` for input spin ``dl/2`` at ``m`` outputs, in
+    enumeration order, with ``4s = 2J(2J+2) - 2j(2j+2) - 2l(2l+2)``."""
+    return [
+        (dJ * (dJ + 2) - dj * (dj + 2) - dl * (dl + 2), dj, dJ)
+        for dj in range(m % 2, m + 1, 2)
+        for dJ in range(abs(dj - dl), dj + dl + 1, 2)
+    ]
+
+
+def test_closed_form_maps_match_a_per_sector_scan():
+    # r' adds, per sector, s times a factor that is negative for 0 < r < 1,
+    # so the optimum takes the smallest s (ties to the largest j) and the
+    # most depolarizing map the largest s (ties to the first choice); the
+    # scan visits every (j, J), including M < N
+    pairs = [(n, m) for n in range(1, 31) for m in range(1, 41)] + [(8, 40), (40, 41)]
+    best, worst = {}, {}
+    for n, m in pairs:
+        for dl in range(n % 2, n + 1, 2):
+            if (dl, m) in best:
+                continue
+            choices = _scored_choices(dl, m)
+            low = min(score for score, _, _ in choices)
+            ties = [(dj, dJ) for score, dj, dJ in choices if score == low]
+            assert len(ties) == 1 or dl == 0  # only the spin-0 sector ties
+            best[dl, m] = max(ties)
+            worst[dl, m] = max(choices, key=lambda c: c[0])[1:]
+
+    def scanned(table, n, m):
+        picks = [table[dl, m] for dl in range(n % 2, n + 1, 2)]
+        return ExtremalMap(
+            n, m, tuple(HalfInt(dj) for dj, _ in picks), tuple(HalfInt(dJ) for _, dJ in picks)
+        )
+
+    for n, m in pairs:
+        want = scanned(best, n, m)
+        assert conjectured_optimal_map(n, m) == want
+        assert optimal_map(n, m, 0.5).best_map == want
+        assert _most_depolarizing_map(n, m) == scanned(worst, n, m)
+
+
+def test_one_copy_scaling_factor_is_constant():
+    # N = 1: r' is linear in r, so p is the exact p(0) = (M+2)/(3M) that
+    # verify reads; r' rounds once, and p = r'/r loses digits at small r
+    grid = np.linspace(0.0, 1.0, 257)
+    for m in range(1, 12):  # every M verify's dense checks take at N = 1
+        want = (m + 2) / (3 * m)
+        assert float(half_spin_scaling_at_zero(1, m)) == want
+        profile = scaling_profile(1, m)
+        assert profile.p_zero() == want
+        assert_allclose(profile.r_prime(grid), want * grid, rtol=0, atol=1e-16)
+        assert_allclose(profile.p(grid[32:]), want, rtol=0, atol=1e-15)
 
 
 def test_most_depolarizing_map_is_brute_force_minimum():

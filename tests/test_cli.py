@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from superbroadcast import cli
+from superbroadcast import analysis, channels, cli
 from superbroadcast.analysis import _f_n
 from superbroadcast.cli import (
     RunConfig,
@@ -93,6 +93,30 @@ def test_verify_lines_pass_and_fault():
     assert any("trace_preservation" in line and "FAIL" in line for line in lines)
 
 
+def test_each_subcommand_parses_to_the_run_config_defaults():
+    pair = (["--n", "4", "--m", "5"], {"n_in": 4, "m_out": 5})
+    minimal = {
+        "scaling": pair,
+        "threshold": pair,
+        "mstar": (["--n", "4"], {"n_in": 4}),
+        "optimal-map": pair,
+        "figure2": ([], {}),
+        "figure3": ([], {}),
+        "verify": pair,
+    }
+    for command, (argv, given) in minimal.items():
+        # the parser supplies no default of its own
+        args = cli._parser().parse_args([command, *argv])
+        assert vars(args) == {"command": command, **given}
+        assert RunConfig(**vars(args)) == RunConfig(command, **given)
+    defaults = RunConfig("figure2")
+    assert (defaults.r, defaults.r_min, defaults.r_max, defaults.steps) == (0.5, 0.0, 1.0, 101)
+    assert (defaults.tol, defaults.cap, defaults.seed) == (1e-6, 200, 7)
+    assert defaults.output_path is None and not defaults.inject_fault
+    rows = figure3_rows(RunConfig("figure3"))
+    assert [row[0] for row in rows[1:]] == [str(n) for n in range(4, 13)]
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         RunConfig("scaling", n_in=4, m_out=5, r_min=0.9, r_max=0.2).validate()
@@ -172,6 +196,27 @@ def test_cli_builds_its_parser_once(monkeypatch, capsys):
         assert capsys.readouterr().err == fresh.stderr
     assert cli.main(["threshold", "--n", "4", "--m", "5"]) == 0
     assert capsys.readouterr().out.splitlines()[1].startswith("4,5,0.7867")
+
+
+def test_cli_optimal_map_past_a_thousand_inputs(capsys):
+    # no curve, so no multiplicity turned into a float
+    assert cli.main(["optimal-map", "--n", "1100", "--m", "1101"]) == 0
+    rows = [line.split(",") for line in capsys.readouterr().out.splitlines()]
+    assert rows[0] == ["input_spin", "output_spin", "coupled_spin"]
+    assert rows[1:] == [[str(l), "1101/2", f"{1101 - 2 * l}/2"] for l in range(551)]
+
+
+def test_cli_optimal_map_evaluates_no_curve_or_count(monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise RuntimeError("optimal-map prints neither a curve nor a count")
+
+    analysis._cached_curve.cache_clear()
+    monkeypatch.setattr(analysis.BlochCurve, "__init__", refuse)
+    monkeypatch.setattr(analysis, "extremal_count", refuse)
+    monkeypatch.setattr(channels, "extremal_count", refuse)
+    assert cli.main(["optimal-map", "--n", "12", "--m", "1000000", "--r", "0.3"]) == 0
+    rows = capsys.readouterr().out.splitlines()
+    assert rows[1:] == [f"{l},500000,{500000 - l}" for l in range(7)]
 
 
 def test_cli_mstar_sentinel():
@@ -271,7 +316,8 @@ def test_cli_verify_exit_codes():
 def test_cli_verify_one_copy_reports_no_broadcasting():
     result = run_cli("verify", "--n", "1", "--m", "2")
     assert result.returncode == 0
-    assert "no-broadcasting confirmed" in result.stdout
+    # p = (M+2)/(3M) = 2/3, so the margin below 1 is 1/3
+    assert "no-broadcasting confirmed (margin 0.333333 below p = 1)" in result.stdout.splitlines()
 
 
 def test_cli_verify_identity_map_passes():
