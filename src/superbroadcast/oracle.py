@@ -9,10 +9,14 @@ correctness evidence.
 
 :func:`verify_closed_form` reads the dense Choi operator ``S`` a fixed
 number of times, whatever the number of probes: the Hermiticity and
-positivity checks and the three channel applications of the covariance
-check read all of it; the trace-preservation check and the probe
-marginals read diagonal slices (the marginals come from one reduced Choi
-operator per probed output position, contracted with every probe input).
+positivity checks and the covariance check read all of it, the last once
+for its reference and both rotated inputs together; the
+trace-preservation check and the probe marginals read diagonal slices
+(the marginals come from one reduced Choi operator per probed output
+position, contracted with the stack of every probe input).  The
+positivity check eigensolves one band of each mirror pair of charge bands
+when the operator is invariant under the collective pi rotation, as every
+covariant Choi operator is.
 
 Conventions: computational ``|0>`` is spin up along z; register tensor
 factors are ordered output (x) input in Choi operators; Schur blocks store
@@ -76,7 +80,10 @@ def kron_power(a: np.ndarray, n: int) -> np.ndarray:
         raise ValueError(f"need at least one tensor factor, got {n}")
     out = a
     for _ in range(n - 1):
-        out = np.kron(out, a)
+        # the products and their order of np.kron, without its set-up
+        out = (out[:, None, :, None] * a[None, :, None, :]).reshape(
+            out.shape[0] * a.shape[0], out.shape[1] * a.shape[1]
+        )
     return out
 
 
@@ -267,7 +274,8 @@ def apply_channel(choi: DenseOperator, rho_in: DenseOperator) -> DenseOperator:
 
     ``C = (i sigma_y)^{(x) N}`` is the collective spin flip; the contraction
     reproduces ``rho`` itself when ``S`` is the Choi operator of the
-    identity channel.
+    identity channel.  It is :func:`_contract` with one input, so its
+    temporaries total one quarter of the bytes of ``S``.
     """
     dim_in = rho_in.shape[0]
     dim_total = choi.shape[0]
@@ -285,22 +293,39 @@ def apply_channel(choi: DenseOperator, rho_in: DenseOperator) -> DenseOperator:
     return _contract(choi4, _spin_flipped(rho_in, n_in))
 
 
-def _spin_flipped(rho_in: DenseOperator, n_in: int) -> DenseOperator:
-    """``rho~ = C rho^T C^T`` with ``C = (i sigma_y)^{(x) N}``."""
+def _spin_flipped(rho_in: np.ndarray, n_in: int) -> np.ndarray:
+    """``rho~ = C rho^T C^T`` with ``C = (i sigma_y)^{(x) N}``, for one state
+    or a stack of states along the first axis."""
     flip = kron_power(_FLIP, n_in)
-    return flip @ rho_in.T @ flip.T
+    return flip @ rho_in.swapaxes(-1, -2) @ flip.T
 
 
-def _contract(choi4: np.ndarray, rho_tilde: DenseOperator) -> DenseOperator:
-    """``out[x, y] = sum_{a,b} S[x b, y a] rho~[a, b]`` for a real ``S``
-    shaped ``(out, in, out, in)``.
+def _contract(choi4: np.ndarray, rho_tilde: np.ndarray) -> np.ndarray:
+    """``out[..., x, y] = sum_{a,b} S[x b, y a] rho~[..., a, b]`` for ``S``
+    shaped ``(out, in, out, in)`` and one input ``(in, in)`` or a stack
+    ``(k, in, in)``.
 
-    One batched matrix product over ``(x, b)`` contracts the real and
-    imaginary parts of ``rho~`` together, so ``S`` is never cast to complex.
+    ``parts[b]`` holds the real and imaginary parts of every input as the
+    ``2k`` columns of one ``(in, 2k)`` matrix, so ``S`` is read once for the
+    whole stack and a real ``S`` is never cast to complex.  The sum over
+    ``b`` accumulates ``S[:, b] @ parts[b]`` through one preallocated
+    temporary.  For a real ``S`` the accumulator, real and imaginary columns
+    interleaved, is returned viewed as complex.
     """
-    parts = np.stack([rho_tilde.T.real, rho_tilde.T.imag], axis=-1)
-    out = np.matmul(choi4, parts).sum(axis=1)
-    return out[..., 0] + 1j * out[..., 1]
+    stack = rho_tilde.reshape(-1, *rho_tilde.shape[-2:])
+    dim_in = stack.shape[-1]
+    parts = np.stack([stack.real, stack.imag], axis=-1)
+    parts = parts.transpose(2, 1, 0, 3).reshape(dim_in, dim_in, -1)
+    acc = np.matmul(choi4[:, 0], parts[0])
+    term = np.empty_like(acc)
+    for b in range(1, dim_in):
+        acc += np.matmul(choi4[:, b], parts[b], out=term)
+    if np.iscomplexobj(acc):
+        out = acc[..., 0::2] + 1j * acc[..., 1::2]
+    else:
+        out = acc.view(complex)
+    out = np.moveaxis(out, -1, 0)
+    return out if rho_tilde.ndim == 3 else out[0]
 
 
 def _reduced_choi(choi: DenseOperator, n_in: int, m_out: int, which: int) -> np.ndarray:
@@ -458,6 +483,26 @@ def _skew_deviation(choi: DenseOperator) -> float:
     return float(worst)
 
 
+def _charge_band(
+    choi: DenseOperator, inside: np.ndarray
+) -> tuple[np.ndarray, float, np.ndarray]:
+    """Block of the charge band ``inside``, its largest off-block absolute
+    row sum and its off-block absolute column sums.
+
+    The band's rows are gathered once: the row sums are one matrix-vector
+    product with the outside mask, the column sums one reduction with the
+    band's own entries zeroed afterwards.
+    """
+    members = np.flatnonzero(inside)
+    rows = choi[members]
+    block = rows[:, members]
+    # rows is a private gather, so its magnitude can overwrite it
+    magnitude = np.abs(rows, out=rows)
+    cols = magnitude.sum(axis=0)
+    cols[members] = 0.0
+    return block, float((magnitude @ (~inside).astype(float)).max()), cols
+
+
 def _positivity_deviation(choi: DenseOperator) -> float:
     """Upper bound on ``max(0, -lambda_min)`` from blocks of equal charge.
 
@@ -468,24 +513,36 @@ def _positivity_deviation(choi: DenseOperator) -> float:
     norm of the off-block part, and that norm is at most its largest
     absolute row or column sum.  The bound is exact when the off-block part
     vanishes.
+
+    Bands are eigensolved in mirror pairs ``(k, L-k)``.  Complementing every
+    bit, the collective pi rotation ``X^{(x) L}``, maps band ``k`` onto band
+    ``L-k`` with rows and columns reversed, and leaves a covariant Choi
+    operator unchanged.  When band ``L-k`` is exactly band ``k`` reversed,
+    the lower triangle ``eigvalsh`` reads from band ``k`` is band ``L-k``'s
+    upper triangle reversed, so band ``k``'s eigenvalues are exactly those
+    of band ``L-k`` read from that triangle, and the second eigensolve is
+    skipped.  Any other operator, faulted or not covariant, gets both.
     """
     dim = choi.shape[0]
+    n_qubits = dim.bit_length() - 1
     index = np.arange(dim)
     charge = np.zeros(dim, dtype=int)
-    for bit in range(dim.bit_length() - 1):
+    for bit in range(n_qubits):
         charge += (index >> bit) & 1
     lowest = np.inf
     off_rows = 0.0
     off_cols = np.zeros(dim)
-    for value in range(int(charge.max()) + 1):
-        members = np.flatnonzero(charge == value)
-        band = choi[members]
-        lowest = min(lowest, float(np.linalg.eigvalsh(band[:, members])[0]))
-        # band is a private gather, so its magnitude can overwrite it
-        outside = np.abs(band, out=band)
-        outside[:, members] = 0.0
-        off_rows = max(off_rows, float(outside.sum(axis=1).max()))
-        off_cols += outside.sum(axis=0)
+    for value in range(n_qubits // 2 + 1):
+        pair = []
+        for band in sorted({value, n_qubits - value}):
+            block, row_max, cols = _charge_band(choi, charge == band)
+            pair.append(block)
+            off_rows = max(off_rows, row_max)
+            off_cols += cols
+        near, far = pair[0], pair[-1]
+        lowest = min(lowest, float(np.linalg.eigvalsh(near)[0]))
+        if far is not near and not np.array_equal(far, near[::-1, ::-1]):
+            lowest = min(lowest, float(np.linalg.eigvalsh(far)[0]))
     return max(0.0, max(off_rows, float(off_cols.max())) - lowest)
 
 
@@ -508,12 +565,14 @@ def verify_closed_form(
     output positions.  Finally conjugates by seeded Haar-random collective
     rotations to confirm covariance.
 
-    Only the Hermiticity and positivity checks and the three covariance
-    applications (one reference output, two rotated inputs) read all of
-    the Choi operator.  The probe marginals at output positions ``0``,
-    ``M//2`` and ``M-1`` come from one reduced Choi operator per position
-    (the trace over the other outputs done first), and the output side of
-    the covariance check is rotated one qubit at a time.
+    Only the Hermiticity, positivity and covariance checks read all of the
+    Choi operator, the covariance check once: its reference output and both
+    rotated inputs go through one stacked contraction.  The probe marginals
+    at output positions ``0``, ``M//2`` and ``M-1`` come from one reduced
+    Choi operator per position (the trace over the other outputs done
+    first), each contracted with the stack of all probe inputs; their
+    traces and Bloch components are ``Re tr(rho sigma)`` in one ``einsum``.
+    The output side of the covariance check is rotated one qubit at a time.
 
     ``coefficients`` overrides the map's own weights (normally left at
     ``None``); a corrupted set makes the trace-preservation and closed-form
@@ -539,41 +598,43 @@ def verify_closed_form(
     psd_dev = _positivity_deviation(choi)
 
     # Probe marginals: each position's reduced Choi operator is formed once
-    # and contracted with every probe input.
+    # and contracted with the stack of every probe input.  The spin flip is
+    # a signed permutation, so flipping one copy before the tensor power
+    # gives the same bytes as flipping the product.
     positions = sorted({0, m_out // 2, m_out - 1})
-    reduced = [_reduced_choi(choi, n_in, m_out, which) for which in positions]
-    parallel_dev = 0.0
-    transverse_dev = 0.0
-    trace_dev = 0.0
-    uniform_dev = 0.0
-    for r in r_values:
-        expected = single_copy_bloch(emap, r).r_prime
-        for axis in axes:
-            axis = np.asarray(axis, dtype=float)
-            rho_tilde = _spin_flipped(product_input(n_in, r, axis), n_in)
-            marginals = [_contract(t, rho_tilde) for t in reduced]
-            for marginal in marginals:
-                trace_dev = max(trace_dev, abs(float(np.real(np.trace(marginal))) - 1.0))
-            for a, b in itertools.combinations(marginals, 2):
-                uniform_dev = max(uniform_dev, float(np.max(np.abs(a - b))))
-            bloch = bloch_vector(marginals[0])
-            along = float(bloch @ axis)
-            parallel_dev = max(parallel_dev, abs(along - expected))
-            transverse_dev = max(
-                transverse_dev, float(np.linalg.norm(bloch - along * axis))
-            )
+    probes = [(r, np.asarray(axis, dtype=float)) for r in r_values for axis in axes]
+    flipped = np.stack(
+        [kron_power(_spin_flipped(qubit_state(r, axis), 1), n_in) for r, axis in probes]
+    )
+    marginals = np.stack(
+        [_contract(_reduced_choi(choi, n_in, m_out, which), flipped) for which in positions]
+    )
+    # Re tr(rho sigma) for sigma = I, X, Y, Z: the trace, then the Bloch vector
+    paulis = np.stack([np.eye(2), PAULI_X, PAULI_Y, PAULI_Z])
+    moments = np.einsum("pqij,sji->pqs", marginals, paulis).real
+    trace_dev = float(np.max(np.abs(moments[..., 0] - 1.0)))
+    uniform_dev = float(np.max(np.abs(marginals[:, None] - marginals[None])))
+    expected = {r: single_copy_bloch(emap, r).r_prime for r in r_values}
+    bloch = moments[0, :, 1:]
+    unit = np.array([axis for _, axis in probes])
+    along = np.einsum("qk,qk->q", bloch, unit)
+    parallel_dev = float(np.max(np.abs(along - [expected[r] for r, _ in probes])))
+    transverse_dev = float(
+        np.max(np.linalg.norm(bloch - along[:, None] * unit, axis=1))
+    )
 
-    covariance_dev = 0.0
+    # Covariance: the reference and both rotated inputs in one read of S.
     base = product_input(n_in, 0.6, [0.0, 0.0, 1.0])
-    reference = apply_channel(choi, base)
-    for _ in range(2):
-        u = random_su2(rng)
+    rotations = [random_su2(rng) for _ in range(2)]
+    inputs = [base]
+    for u in rotations:
         u_in = kron_power(u, n_in)
-        rotated_first = apply_channel(choi, u_in @ base @ u_in.conj().T)
-        rotated_last = _rotate(u, reference)
-        covariance_dev = max(
-            covariance_dev, float(np.max(np.abs(rotated_first - rotated_last)))
-        )
+        inputs.append(u_in @ base @ u_in.conj().T)
+    outputs = _contract(choi4, _spin_flipped(np.stack(inputs), n_in))
+    covariance_dev = max(
+        float(np.max(np.abs(rotated_first - _rotate(u, outputs[0]))))
+        for u, rotated_first in zip(rotations, outputs[1:])
+    )
 
     checks = (
         CheckResult("choi_hermitian", hermitian_dev, 1e-12),

@@ -1,5 +1,6 @@
 """Dense Choi-operator oracle: Schur basis, channel action, verification."""
 
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -188,6 +189,127 @@ def test_positivity_bound_sees_off_block_negativity(monkeypatch):
     assert report.deviation("choi_positive") > 1e-10
 
 
+def _count_eigvalsh(monkeypatch):
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counting(a, UPLO="L"):
+        calls.append(a.shape)
+        return eigvalsh(a, UPLO=UPLO)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    return calls
+
+
+def _charge_bands(n_qubits):
+    charge = np.array([bin(i).count("1") for i in range(2**n_qubits)])
+    return [np.flatnonzero(charge == value) for value in range(n_qubits + 1)]
+
+
+def test_positivity_eigensolves_one_band_per_mirror_pair(monkeypatch):
+    # every covariant Choi operator is invariant under the collective pi
+    # rotation, so band L-k is band k reversed and is not eigensolved again
+    operators = [
+        build_choi(coefficients_for(conjectured_optimal_map(n, m)))
+        for n, m in [(1, 1), (1, 2), (2, 3), (3, 4), (2, 5), (3, 5), (4, 5), (2, 9)]
+    ]
+    operators.append(build_choi(coefficients_for(enumerate_extremal(3, 4)[-1])))
+    operators.append(build_choi(_faulted(coefficients_for(conjectured_optimal_map(3, 4)))))
+    calls = _count_eigvalsh(monkeypatch)
+    for choi in operators:
+        n_qubits = choi.shape[0].bit_length() - 1
+        calls.clear()
+        _positivity_deviation(choi)
+        assert len(calls) == n_qubits // 2 + 1
+    calls.clear()
+    assert verify_closed_form(2, 5, conjectured_optimal_map(2, 5)).ok
+    assert len(calls) == 7 // 2 + 1
+
+
+def test_positivity_mirror_falls_back_on_a_changed_band(monkeypatch):
+    # one lower-triangle entry changed in a band above L/2 costs that pair
+    # its second eigensolve; one in every such band gives all L+1
+    n_qubits = 8
+    clean = build_choi(coefficients_for(conjectured_optimal_map(3, 5)))
+    bands = _charge_bands(n_qubits)
+    calls = _count_eigvalsh(monkeypatch)
+    broken = clean.copy()
+    for count, value in enumerate(range(n_qubits // 2 + 1, n_qubits + 1), start=1):
+        row, col = bands[value][-1], bands[value][0]
+        broken[row, col] += 1e-9
+        calls.clear()
+        _positivity_deviation(broken)
+        assert len(calls) == n_qubits // 2 + 1 + count
+    assert len(calls) == n_qubits + 1
+
+
+def test_positivity_bound_sees_each_broken_band():
+    # a symmetric entry pair inside one band makes that band indefinite;
+    # the bound must report it whichever band of its mirror pair it is in
+    n_qubits = 8
+    clean = build_choi(coefficients_for(conjectured_optimal_map(3, 5)))
+    for members in _charge_bands(n_qubits):
+        broken = clean.copy()
+        if len(members) == 1:
+            broken[members[0], members[0]] = -1e-3
+        else:
+            i, k = members[0], members[-1]
+            broken[i, k] = broken[k, i] = np.sqrt(clean[i, i] * clean[k, k]) + 1e-3
+        lowest = min(
+            np.linalg.eigvalsh(broken[np.ix_(band, band)])[0]
+            for band in _charge_bands(n_qubits)
+        )
+        bound = _positivity_deviation(broken)
+        assert bound > 1e-10
+        # the off-block part is zero, so the bound is tight and the full
+        # eigensolve agrees only up to its rounding
+        assert bound >= -np.linalg.eigvalsh(broken)[0] - 1e-15
+        assert bound == max(0.0, -lowest)
+
+
+def test_probe_inputs_flip_one_copy_before_the_power():
+    # the spin flip is a signed permutation, so the order costs no bits
+    rng = np.random.default_rng(37)
+    for n in range(1, 7):
+        for r in (0.0, 0.3, 0.7, 1.0):
+            for axis in ([0.0, 0.0, 1.0], random_axis(rng), random_axis(rng)):
+                one = kron_power(_spin_flipped(qubit_state(r, axis), 1), n)
+                whole = _spin_flipped(product_input(n, r, axis), n)
+                assert one.tobytes() == whole.tobytes()
+
+
+def test_stacked_contraction_matches_single_inputs():
+    # random Hermitian, non-product inputs; a real Choi operator and a
+    # complex Hermitian one
+    rng = np.random.default_rng(41)
+    for n, m in [(1, 2), (2, 3), (3, 4), (2, 5)]:
+        dim_in, dim_out = 2**n, 2**m
+        for choi in (
+            build_choi(coefficients_for(conjectured_optimal_map(n, m))),
+            _random_state(rng, dim_in * dim_out),
+        ):
+            choi4 = choi.reshape(dim_out, dim_in, dim_out, dim_in)
+            stack = np.stack([_random_state(rng, dim_in) for _ in range(5)])
+            batched = _contract(choi4, stack)
+            assert batched.shape == (5, dim_out, dim_out)
+            for rho_tilde, out in zip(stack, batched):
+                assert np.max(np.abs(out - _contract(choi4, rho_tilde))) <= 1e-15
+                expected = np.einsum("ab,xbya->xy", rho_tilde, choi4)
+                assert np.max(np.abs(out - expected)) < 1e-13
+
+
+def test_apply_channel_temporaries_stay_a_quarter_of_the_choi_operator():
+    choi = build_choi(coefficients_for(conjectured_optimal_map(2, 9)))
+    rho = product_input(2, 0.6, [0.0, 0.0, 1.0])
+    tracemalloc.start()
+    try:
+        apply_channel(choi, rho)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.3 * choi.nbytes
+
+
 def test_choi_trace_preserving_and_positive_sampled_large():
     # first, conjectured, and last maps at 9- and 10-qubit total sizes
     for n, m in [(2, 7), (4, 5), (5, 4), (3, 7), (5, 5), (7, 3)]:
@@ -225,19 +347,23 @@ def test_hermitian_check_sees_one_asymmetric_entry(monkeypatch):
 
 def test_apply_channel_matches_einsum_contraction():
     # random complex, non-product inputs against Tr_in[(I (x) rho~) S]
+    # a complex Hermitian operator takes the same contraction
     rng = np.random.default_rng(17)
     for n, m in [(1, 2), (2, 3), (3, 4), (2, 5)]:
-        choi = build_choi(coefficients_for(conjectured_optimal_map(n, m)))
         dim_in, dim_out = 2**n, 2**m
         flip = kron_power(np.array([[0.0, 1.0], [-1.0, 0.0]]), n)
-        for _ in range(3):
-            a = rng.normal(size=(dim_in, dim_in)) + 1j * rng.normal(size=(dim_in, dim_in))
-            rho = a @ a.conj().T
-            rho /= np.trace(rho)
-            rho_tilde = flip @ rho.T @ flip.T
-            choi4 = choi.reshape(dim_out, dim_in, dim_out, dim_in)
-            expected = np.einsum("ab,xbya->xy", rho_tilde, choi4)
-            assert np.max(np.abs(apply_channel(choi, rho) - expected)) < 1e-13
+        for choi in (
+            build_choi(coefficients_for(conjectured_optimal_map(n, m))),
+            _random_state(rng, dim_in * dim_out),
+        ):
+            for _ in range(3):
+                a = rng.normal(size=(dim_in, dim_in)) + 1j * rng.normal(size=(dim_in, dim_in))
+                rho = a @ a.conj().T
+                rho /= np.trace(rho)
+                rho_tilde = flip @ rho.T @ flip.T
+                choi4 = choi.reshape(dim_out, dim_in, dim_out, dim_in)
+                expected = np.einsum("ab,xbya->xy", rho_tilde, choi4)
+                assert np.max(np.abs(apply_channel(choi, rho) - expected)) < 1e-13
 
 
 def _random_state(rng, dim):
@@ -356,6 +482,21 @@ def test_kron_power():
     for n in (0, -1):
         with pytest.raises(ValueError):
             kron_power(2.0 * np.eye(2), n)
+    # the same bytes as chained np.kron, real and complex, square or not
+    rng = np.random.default_rng(31)
+    factors = [
+        rng.normal(size=(2, 2)),
+        rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)),
+        random_su2(rng),
+        rng.normal(size=(2, 3)),
+    ]
+    for a in factors:
+        expected = a
+        for n in range(1, 7):
+            power = kron_power(a, n)
+            assert power.shape == expected.shape
+            assert power.tobytes() == expected.tobytes()
+            expected = np.kron(expected, a)
 
 
 def test_verify_closed_form_passes_on_valid_maps():
