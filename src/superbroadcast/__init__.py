@@ -26,11 +26,9 @@ from .analysis import (
 from .channels import (
     ChannelCoeffs,
     ExtremalMap,
-    SearchSpaceTooLargeError,
     TracePreservationReport,
     coefficients_for,
     conjectured_optimal_map,
-    enumerate_extremal,
     extremal_count,
     mix,
     validate_trace_preserving,
@@ -70,11 +68,9 @@ __all__ = [
     # channel classification
     "ChannelCoeffs",
     "ExtremalMap",
-    "SearchSpaceTooLargeError",
     "TracePreservationReport",
     "coefficients_for",
     "conjectured_optimal_map",
-    "enumerate_extremal",
     "extremal_count",
     "mix",
     "validate_trace_preserving",

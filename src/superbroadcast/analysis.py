@@ -266,8 +266,7 @@ class BlochCurve:
     """
 
     def __init__(self, channel: Union[ExtremalMap, ChannelCoeffs]):
-        self.emap = channel if isinstance(channel, ExtremalMap) else None
-        coeffs = channel if self.emap is None else coefficients_for(channel)
+        coeffs = coefficients_for(channel) if isinstance(channel, ExtremalMap) else channel
         n_in, m_out = coeffs.n_in, coeffs.m_out
         coeff_parts = []
         dn_parts = []
@@ -492,9 +491,7 @@ def _most_depolarizing_map(n_in: int, m_out: int) -> ExtremalMap:
 
     The largest ``s`` in every sector: ``J = j + l``, where ``s = 2jl``,
     at ``j = M/2`` for ``l > 0``.  At ``l = 0`` every choice scores 0, and
-    the tie goes to the first choice in the order of
-    :func:`superbroadcast.channels.enumerate_extremal`, the smallest ``j``
-    with ``J = j``; so the map is the first minimizer over that order.
+    the tie goes to the smallest ``j``, with ``J = j``.
     """
     top = HalfInt(m_out)
     outs, coupled = [], []

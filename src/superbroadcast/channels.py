@@ -6,39 +6,31 @@ for every compatible triple ``(j, l, J)``: ``l`` an input-register spin,
 ``j`` an output-register spin, ``J`` a total spin in the coupling range of
 ``j`` and ``l``.  The extreme points of this convex set pick exactly one
 ``(j, J)`` pair per input spin ``l``, which is what :class:`ExtremalMap`
-records.  Everything here is exact: coefficients are rationals and trace
-preservation can be checked without tolerance.
+records; :func:`extremal_count` counts them in closed form, and only the
+tests list them, as a brute-force cross-check.  Everything here is exact:
+coefficients are rationals and trace preservation needs no tolerance.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator, Union
 
-from .su2core import HalfInt, SpinLike, coupled_range, multiplicity, spin_range
+from .su2core import HalfInt, SpinLike, multiplicity, spin_range
 
 __all__ = [
     "ExtremalMap",
     "ChannelCoeffs",
     "TracePreservationReport",
-    "SearchSpaceTooLargeError",
     "extremal_count",
-    "enumerate_extremal",
     "conjectured_optimal_map",
     "coefficients_for",
     "mix",
     "validate_trace_preserving",
 ]
 
-DEFAULT_ENUMERATION_CAP = 10_000_000
-
 Weight = Union[Fraction, float]
-
-
-class SearchSpaceTooLargeError(ValueError):
-    """Raised when an extremal-map enumeration would exceed its cap."""
 
 
 @dataclass(frozen=True)
@@ -154,42 +146,6 @@ def extremal_count(n_in: int, m_out: int) -> int:
         paired = [a * b for a, b in zip(factors[::2], factors[1::2])]
         factors = paired + factors[2 * len(paired):]
     return factors[0]
-
-
-def enumerate_extremal(
-    n_in: int, m_out: int, cap: int = DEFAULT_ENUMERATION_CAP
-) -> list[ExtremalMap]:
-    """All extremal maps for ``n_in -> m_out``, in a fixed deterministic order.
-
-    The order is lexicographic: the choice for the smallest input spin varies
-    slowest, and for each ``l`` the ``(j, J)`` pairs are sorted by ascending
-    ``j`` then ascending ``J``.
-
-    Raises:
-        SearchSpaceTooLargeError: if the total count exceeds ``cap``
-            (default ten million); the message names the offending count.
-    """
-    count = extremal_count(n_in, m_out)
-    if count > cap:
-        raise SearchSpaceTooLargeError(
-            f"search space too large: {count} extremal maps for "
-            f"{n_in} -> {m_out} exceeds cap {cap}"
-        )
-    choices = [
-        [(j, J) for j in spin_range(m_out) for J in coupled_range(j, l)]
-        for l in spin_range(n_in)
-    ]
-    maps = []
-    for combo in itertools.product(*choices):
-        maps.append(
-            ExtremalMap(
-                n_in=n_in,
-                m_out=m_out,
-                output_spin=tuple(j for j, _ in combo),
-                coupled_spin=tuple(J for _, J in combo),
-            )
-        )
-    return maps
 
 
 def conjectured_optimal_map(n_in: int, m_out: int) -> ExtremalMap:

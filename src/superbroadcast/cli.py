@@ -21,8 +21,8 @@ default lives in :class:`RunConfig`.
 All numeric CSV fields use 12 significant digits.  Output is assembled in
 memory, written to a temporary file beside the target and renamed over it,
 so an error never leaves a partial or truncated file.
-Exit codes: 0 success, 1 verification failure, 2 invalid arguments or an
-unwritable output file.
+Exit codes: 0 success, 1 verification failure, 2 invalid arguments (a
+request too large for memory among them) or an unwritable output file.
 """
 
 from __future__ import annotations
@@ -347,6 +347,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             text, code = "\n".join(",".join(row) for row in rows) + "\n", 0
     except (SizeCapError, ValueError, OverflowError) as exc:
         parser.error(str(exc))
+    except MemoryError as exc:
+        parser.error(f"out of memory: {exc}")
     try:
         _write(config.output_path, text)
     except OSError as exc:

@@ -16,7 +16,8 @@ trace-preservation check and the probe marginals read diagonal slices
 position, contracted with the stack of every probe input).  The
 positivity check eigensolves one band of each mirror pair of charge bands
 when the operator is invariant under the collective pi rotation, as every
-covariant Choi operator is.
+covariant Choi operator is.  Caps are fixed: above ``QUBIT_CAP = 12``
+qubits (8 for the permutation twirl) :class:`SizeCapError` is raised first.
 
 Conventions: computational ``|0>`` is spin up along z; register tensor
 factors are ordered output (x) input in Choi operators; Schur blocks store
@@ -60,7 +61,8 @@ __all__ = [
 # Dense operators are plain complex/real square ndarrays of power-of-two size.
 DenseOperator = np.ndarray
 
-DEFAULT_QUBIT_CAP = 12
+QUBIT_CAP = 12
+_TWIRL_CAP = 8
 
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
@@ -130,7 +132,7 @@ class SchurIsometry:
         return np.vstack(rows).T
 
 
-def schur_isometry(n_qubits: int, cap: int = DEFAULT_QUBIT_CAP) -> SchurIsometry:
+def schur_isometry(n_qubits: int) -> SchurIsometry:
     """Coupled spin basis of ``n_qubits`` qubits, one qubit at a time.
 
     Each new qubit splits every spin-``j`` block into ``j + 1/2`` and
@@ -138,13 +140,13 @@ def schur_isometry(n_qubits: int, cap: int = DEFAULT_QUBIT_CAP) -> SchurIsometry
     realizes the multiplicity spaces as coupling paths.
 
     Raises:
-        SizeCapError: for ``n_qubits`` above ``cap`` (default 12), where the
+        SizeCapError: for ``n_qubits`` above ``QUBIT_CAP`` (12), where the
             dense basis would not fit comfortably in memory.
     """
     if n_qubits < 1:
         raise ValueError(f"need at least one qubit, got {n_qubits}")
-    if n_qubits > cap:
-        raise SizeCapError(f"{n_qubits} qubits exceed the dense cap {cap}")
+    if n_qubits > QUBIT_CAP:
+        raise SizeCapError(f"{n_qubits} qubits exceed the dense cap {QUBIT_CAP}")
     half = HalfInt(1)
     blocks: dict[HalfInt, list[tuple[tuple[HalfInt, ...], np.ndarray]]] = {
         half: [((half,), np.eye(2))]
@@ -231,7 +233,7 @@ def projector_J(
     return coupled @ coupled.T
 
 
-def build_choi(coeffs: ChannelCoeffs, cap: int = DEFAULT_QUBIT_CAP) -> DenseOperator:
+def build_choi(coeffs: ChannelCoeffs) -> DenseOperator:
     """Dense Choi operator of a coefficient channel.
 
     Sums ``s(j,l,J)`` times the total-spin-``J`` projector over every pair
@@ -243,13 +245,13 @@ def build_choi(coeffs: ChannelCoeffs, cap: int = DEFAULT_QUBIT_CAP) -> DenseOper
     whole sum is the single product ``(V w) V^T``.
 
     Raises:
-        SizeCapError: when ``n_in + m_out`` exceeds ``cap`` (default 12).
+        SizeCapError: when ``n_in + m_out`` exceeds ``QUBIT_CAP`` (12).
     """
     n_in, m_out = coeffs.n_in, coeffs.m_out
-    if n_in + m_out > cap:
-        raise SizeCapError(f"{m_out}+{n_in} qubits exceed the dense cap {cap}")
-    iso_out = schur_isometry(m_out, cap)
-    iso_in = schur_isometry(n_in, cap)
+    if n_in + m_out > QUBIT_CAP:
+        raise SizeCapError(f"{m_out}+{n_in} qubits exceed the dense cap {QUBIT_CAP}")
+    iso_out = schur_isometry(m_out)
+    iso_in = schur_isometry(n_in)
     columns = [np.zeros((2 ** (m_out + n_in), 0))]
     scales = [np.zeros(0)]
     for (j, l, J), s in coeffs.weights.items():
@@ -550,16 +552,14 @@ def verify_closed_form(
     n_in: int,
     m_out: int,
     emap: ExtremalMap,
-    r_values: Sequence[float] = (0.0, 0.3, 0.7, 1.0),
-    axes: Optional[Sequence[Sequence[float]]] = None,
     seed: int = 7,
-    cap: int = DEFAULT_QUBIT_CAP,
     coefficients: Optional[ChannelCoeffs] = None,
 ) -> VerificationReport:
     """Check one extremal map's closed form against the dense channel.
 
     Builds the Choi operator, validates Hermiticity, trace preservation and
-    positivity, then for every ``(r, axis)`` compares the dense single-copy
+    positivity, then for twelve probes, ``r`` in ``(0, 0.3, 0.7, 1)`` along
+    z and two random axes drawn from ``seed``, compares the dense single-copy
     marginal against the sector-sum ``r'``: parallel component, vanishing
     transverse component, unit trace, and equality of marginals across
     output positions.  Finally conjugates by seeded Haar-random collective
@@ -585,11 +585,11 @@ def verify_closed_form(
             f"map shape {emap.n_in}->{emap.m_out} does not match requested {n_in}->{m_out}"
         )
     rng = np.random.default_rng(seed)
-    if axes is None:
-        axes = [np.array([0.0, 0.0, 1.0]), random_axis(rng), random_axis(rng)]
+    r_values = (0.0, 0.3, 0.7, 1.0)
+    axes = [np.array([0.0, 0.0, 1.0]), random_axis(rng), random_axis(rng)]
     if coefficients is None:
         coefficients = coefficients_for(emap)
-    choi = build_choi(coefficients, cap)
+    choi = build_choi(coefficients)
 
     hermitian_dev = _skew_deviation(choi)
     choi4 = choi.reshape(2**m_out, 2**n_in, 2**m_out, 2**n_in)
@@ -602,7 +602,7 @@ def verify_closed_form(
     # a signed permutation, so flipping one copy before the tensor power
     # gives the same bytes as flipping the product.
     positions = sorted({0, m_out // 2, m_out - 1})
-    probes = [(r, np.asarray(axis, dtype=float)) for r in r_values for axis in axes]
+    probes = [(r, axis) for r in r_values for axis in axes]
     flipped = np.stack(
         [kron_power(_spin_flipped(qubit_state(r, axis), 1), n_in) for r, axis in probes]
     )
@@ -653,7 +653,7 @@ def verify_closed_form(
 # standalone identity checks
 
 
-def symmetric_marginal_deviation(j_max: SpinLike = 3, cap: int = DEFAULT_QUBIT_CAP) -> float:
+def symmetric_marginal_deviation(j_max: SpinLike = 3) -> float:
     """Max deviation of one-qubit marginals of top-spin Schur columns.
 
     For the spin-``j`` column ``|j m>`` of ``2j`` qubits the single-qubit
@@ -664,7 +664,7 @@ def symmetric_marginal_deviation(j_max: SpinLike = 3, cap: int = DEFAULT_QUBIT_C
     worst = 0.0
     for dj in range(1, top.doubled + 1):
         j = HalfInt(dj)
-        iso = schur_isometry(dj, cap)
+        iso = schur_isometry(dj)
         for m in projections(j):
             column = iso.column(j, m)
             marginal = partial_trace(np.outer(column, column), [dj - 1], dj)
@@ -673,15 +673,15 @@ def symmetric_marginal_deviation(j_max: SpinLike = 3, cap: int = DEFAULT_QUBIT_C
     return worst
 
 
-def permutation_twirl_deviation(n_qubits: int, cap: int = 8) -> float:
+def permutation_twirl_deviation(n_qubits: int) -> float:
     """Max deviation of the permutation twirl from the multiplicity average.
 
     Averaging ``|j m path_1><j m path_1|`` over all qubit permutations must
     equal ``1/d_j`` times the sum over all coupling paths, for every sector
-    spin ``j`` and projection ``m``.
+    spin ``j`` and projection ``m``; the average runs over all ``n!`` orders.
     """
-    if n_qubits > cap:
-        raise SizeCapError(f"{n_qubits} qubits exceed the permutation cap {cap}")
+    if n_qubits > _TWIRL_CAP:
+        raise SizeCapError(f"{n_qubits} qubits exceed the permutation cap {_TWIRL_CAP}")
     iso = schur_isometry(n_qubits)
     worst = 0.0
     perms = list(itertools.permutations(range(n_qubits)))

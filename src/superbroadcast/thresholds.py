@@ -99,7 +99,9 @@ def r_star(n_in: int, m_out: int, tol: float = 1e-6) -> ThresholdResult:
     ``F_N(r)/r = M/(M+2)``.  Bisection tests ``F_N(r) >= ratio * r`` with
     the correctly rounded ``ratio = M/(M+2)``, each point in O(sqrt N) from
     the binomial form of ``F_N`` (O(N) memory per ``N``), and stops once the
-    bracket is no wider than ``tol`` and ``1/GRID_STEPS``.  This relies on
+    bracket is no wider than ``tol`` and ``1/GRID_STEPS``: an absolute bracket,
+    so at the default ``tol`` the gap ``1 - r*(N, N+1) ~ 2/N^2`` goes
+    unresolved from ``N`` about 1400 on (ROADMAP.md item 1).  This relies on
     ``F_N(r)/r`` falling monotonically in ``r``, so that ``p = 1`` has a
     single crossing; ``test_scaling_factor_never_increases_on_grid`` is the
     evidence, for every ``N`` the CLI and the benchmark reach and on to
@@ -160,8 +162,10 @@ def limiting_threshold(n_in: int, tol: float = 1e-6) -> float:
     ``b + (b - a)`` for ``a = r*(N, low)``, ``b = r*(N, 2 low)``, with
     ``low = 1024`` below ``N = 1024`` and ``low = 2N`` from there.  Both
     rungs bisect ``F_N`` (see :func:`r_star`), so ``N = 10^5`` takes well
-    under a second.  Raises for ``K_N <= 1`` (``N <= 5``), where
-    ``p(0) -> K_N`` leaves no limit.
+    under a second; the result inherits their ``tol``-limited absolute
+    brackets (at the default ``tol``, ``1 - limiting_threshold(10**6)`` is
+    28% low; ROADMAP.md item 1).  Raises for ``K_N <= 1`` (``N <= 5``),
+    where ``p(0) -> K_N`` leaves no limit.
     """
     if n_in <= _LAST_BOUNDED_N:
         k = _zero_slope(n_in)

@@ -10,6 +10,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from brute_force import enumerate_extremal
 from superbroadcast.analysis import (
     BlochCurve,
     optimal_map,
@@ -19,7 +20,6 @@ from superbroadcast.analysis import (
 from superbroadcast.channels import (
     coefficients_for,
     conjectured_optimal_map,
-    enumerate_extremal,
     validate_trace_preserving,
 )
 from superbroadcast.oracle import (

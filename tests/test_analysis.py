@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from brute_force import enumerate_extremal
 from superbroadcast.analysis import (
     FAST_KERNEL_MIN_SIZE,
     BlochCurve,
@@ -31,7 +32,6 @@ from superbroadcast.channels import (
     ExtremalMap,
     coefficients_for,
     conjectured_optimal_map,
-    enumerate_extremal,
     extremal_count,
     mix,
     validate_trace_preserving,

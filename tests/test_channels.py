@@ -6,13 +6,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from brute_force import enumerate_extremal
 from superbroadcast.channels import (
     ChannelCoeffs,
     ExtremalMap,
-    SearchSpaceTooLargeError,
     coefficients_for,
     conjectured_optimal_map,
-    enumerate_extremal,
     extremal_count,
     mix,
     validate_trace_preserving,
@@ -65,12 +64,6 @@ def test_enumerate_order_is_lexicographic():
     last = maps[-1]
     assert last.output_spin == (HalfInt.of(1), HalfInt.of(1))
     assert last.coupled_spin == (HalfInt.of(1), HalfInt.of(2))
-
-
-def test_enumeration_cap():
-    with pytest.raises(SearchSpaceTooLargeError) as err:
-        enumerate_extremal(6, 30, cap=100)
-    assert str(extremal_count(6, 30)) in str(err.value)
 
 
 def test_extremal_map_validation():

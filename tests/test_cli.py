@@ -243,6 +243,11 @@ def test_cli_invalid_arguments_exit_2(tmp_path):
     assert huge.returncode == 2
     assert "Traceback" not in huge.stderr
     assert run_cli("threshold", "--n", "1100", "--m", "1101").returncode == 0
+    # a 7 TiB grid: numpy refuses the allocation up front, nothing is allocated
+    grid = run_cli("scaling", "--n", "4", "--m", "5", "--steps", "1000000000000")
+    assert grid.returncode == 2
+    assert "Traceback" not in grid.stderr
+    assert "out of memory: Unable to allocate" in grid.stderr
     # an output directory that does not exist: one message, no staging file
     target = tmp_path / "missing" / "x.csv"
     unwritable = run_cli("threshold", "--n", "4", "--m", "5", "--out", str(target))

@@ -7,13 +7,13 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from brute_force import enumerate_extremal
 from superbroadcast import oracle
 from superbroadcast.analysis import perfect_broadcast_channel
 from superbroadcast.channels import (
     ChannelCoeffs,
     coefficients_for,
     conjectured_optimal_map,
-    enumerate_extremal,
 )
 from superbroadcast.oracle import (
     SizeCapError,
@@ -183,7 +183,7 @@ def test_positivity_bound_sees_off_block_negativity(monkeypatch):
     assert np.linalg.eigvalsh(broken)[0] < -1e-10
     assert _positivity_deviation(broken) >= -np.linalg.eigvalsh(broken)[0]
 
-    monkeypatch.setattr(oracle, "build_choi", lambda coeffs, cap: broken)
+    monkeypatch.setattr(oracle, "build_choi", lambda coeffs: broken)
     report = verify_closed_form(2, 3, emap)
     assert "choi_positive" in [c.name for c in report.failures()]
     assert report.deviation("choi_positive") > 1e-10
@@ -325,12 +325,20 @@ def test_choi_trace_preserving_and_positive_sampled_large():
             assert np.linalg.eigvalsh(choi)[0] > -1e-10
 
 
-def test_build_choi_cap():
-    with pytest.raises(SizeCapError):
-        build_choi(coefficients_for(conjectured_optimal_map(6, 7)))
-    # a tighter explicit cap rejects registers the default would admit
-    with pytest.raises(SizeCapError):
-        build_choi(coefficients_for(conjectured_optimal_map(2, 2)), cap=3)
+def test_build_choi_cap(monkeypatch):
+    # the fixed caps refuse an oversized register before any basis is built
+    def no_work(*args):
+        raise AssertionError("work started past a size cap")
+
+    monkeypatch.setattr(oracle, "cg", no_work)
+    monkeypatch.setattr(oracle, "schur_isometry", no_work)
+    with pytest.raises(SizeCapError, match="13 qubits exceed the dense cap 12"):
+        schur_isometry(13)
+    for n, m in ((6, 7), (1, 12), (12, 1)):
+        with pytest.raises(SizeCapError, match=f"{m}\\+{n} qubits exceed the dense cap 12"):
+            build_choi(coefficients_for(conjectured_optimal_map(n, m)))
+    with pytest.raises(SizeCapError, match="9 qubits exceed the permutation cap 8"):
+        permutation_twirl_deviation(9)
 
 
 def test_hermitian_check_sees_one_asymmetric_entry(monkeypatch):
@@ -339,7 +347,7 @@ def test_hermitian_check_sees_one_asymmetric_entry(monkeypatch):
     emap = conjectured_optimal_map(3, 5)
     broken = build_choi(coefficients_for(emap))
     broken[0b00000011, 0b11000000] += 1e-9
-    monkeypatch.setattr(oracle, "build_choi", lambda coeffs, cap: broken)
+    monkeypatch.setattr(oracle, "build_choi", lambda coeffs: broken)
     report = verify_closed_form(3, 5, emap)
     assert [c.name for c in report.failures()] == ["choi_hermitian"]
     assert report.deviation("choi_hermitian") == np.max(np.abs(broken - broken.T))
@@ -412,7 +420,7 @@ def test_covariance_check_sees_a_non_covariant_channel(monkeypatch):
     flip = np.kron(np.kron(oracle.PAULI_X.real, np.eye(2 ** (m - 1))), np.eye(2**n))
     broken = flip @ build_choi(coefficients_for(emap)) @ flip
     assert np.linalg.eigvalsh(broken)[0] > -1e-12
-    monkeypatch.setattr(oracle, "build_choi", lambda coeffs, cap: broken)
+    monkeypatch.setattr(oracle, "build_choi", lambda coeffs: broken)
     report = verify_closed_form(n, m, emap)
     assert report.deviation("choi_trace_preserving") < 1e-12
     assert "covariance" in [c.name for c in report.failures()]

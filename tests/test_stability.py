@@ -26,11 +26,9 @@ PUBLIC_API = [
     "spin_range",
     "ChannelCoeffs",
     "ExtremalMap",
-    "SearchSpaceTooLargeError",
     "TracePreservationReport",
     "coefficients_for",
     "conjectured_optimal_map",
-    "enumerate_extremal",
     "extremal_count",
     "mix",
     "validate_trace_preserving",
@@ -78,9 +76,7 @@ MODULE_API = {
         "ExtremalMap",
         "ChannelCoeffs",
         "TracePreservationReport",
-        "SearchSpaceTooLargeError",
         "extremal_count",
-        "enumerate_extremal",
         "conjectured_optimal_map",
         "coefficients_for",
         "mix",
