@@ -346,18 +346,35 @@ def single_copy_convex(coeffs: ChannelCoeffs, r: float) -> BlochReport:
     return BlochCurve(coeffs).report(r)
 
 
-@lru_cache(maxsize=256)
 def _zero_slope(n_in: int) -> Fraction:
     """``K_N = lim_{r -> 0} F_N(r)/r``, so that ``p(0) = (M+2)/M * K_N``.
 
     For ``M >= N`` the half-output-spin map has ``s = -l(M+2)`` in every
     sector, so ``r' = (M+2)/M * F_N(r)`` with ``F_N`` free of ``M``.
-    ``K_N = (2/3) E[l]`` under the maximally mixed input, and each added
-    qubit raises ``E[l]`` by ``E[1/(2(2l+1))] > 0``, so ``K_N`` strictly
-    increases with ``N`` (``K_5 = 11/12 < 1 <= K_6 = 49/48``).
+    ``K_N = (2/3) E[l] = sum_l 2l(2l+1) d_l / (3 2^N)`` under the maximally
+    mixed input.  An added qubit moves spin ``l`` to ``l +- 1/2`` in
+    proportion ``2l+2 : 2l``, which raises ``E[l]`` by
+    ``E[1/(2(2l+1))] = sum_l d_l / 2^N``, and ``sum_l d_l = C(N, N // 2)``:
+
+        K_N - K_(N-1) = C(N-1, (N-1) // 2) / (3 2^(N-1)) > 0.
+
+    With ``G_N = 3 2^N K_N`` the step reads
+    ``G_N - 2 G_(N-1) = 2 C(N-1, (N-1) // 2)``, and telescoping it from
+    ``G_0 = 0`` gives
+
+        G_N = c_N C(N, N // 2) - 2^N,   c_N = 2N+2 (N odd), 2N+1 (N even),
+
+    since ``C(2m+1, m) = C(2m, m) (2m+1)/(m+1)`` and
+    ``C(2m, m) = 2 C(2m-1, m-1)`` make ``c_N C(N, N // 2) - 2 c_(N-1)
+    C(N-1, (N-1) // 2)`` equal to ``2 C(N-1, (N-1) // 2)`` at either parity.
+    So ``K_N`` strictly increases with ``N`` (``K_5 = 11/12 < 1 <=
+    K_6 = 49/48``), grows like ``(2 sqrt(2N/pi) - 1)/3``, and costs one
+    binomial coefficient.
     """
-    weighted = sum(l.doubled * l.dim * multiplicity(n_in, l) for l in spin_range(n_in))
-    return Fraction(weighted, 3 * 2**n_in)
+    if n_in < 1:
+        raise ValueError(f"need at least one qubit, got {n_in}")
+    c = 2 * n_in + 2 if n_in % 2 else 2 * n_in + 1
+    return Fraction(c * math.comb(n_in, n_in // 2) - 2**n_in, 3 * 2**n_in)
 
 
 @lru_cache(maxsize=64)
@@ -424,8 +441,9 @@ def half_spin_scaling_at_zero(n_in: int, m_out: int) -> Fraction:
 
         p(0) = (M+2) / (3 M 2^N) * sum_l 2l (2l+1) d_l = (M+2)/M * K_N ,
 
-    a closed form this function returns exactly.  It must (and does) agree
-    with :meth:`BlochCurve.p_zero` of the conjectured map; requires
+    which this function returns exactly, with ``K_N`` from its
+    one-binomial closed form (see :func:`_zero_slope`).  It must (and does)
+    agree with :meth:`BlochCurve.p_zero` of the conjectured map; requires
     ``m_out >= n_in`` so that every sector has ``J = M/2 - l >= 0``.
     """
     if m_out < n_in:

@@ -143,8 +143,8 @@ def threshold_rows(config: RunConfig) -> list[list[str]]:
 
 def mstar_rows(config: RunConfig) -> list[list[str]]:
     result = m_star(config.n_in, cap=config.cap)
-    value = f">={config.cap}" if result.capped else str(result.m_star)
-    return [["n", "m_star"], [str(config.n_in), value]]
+    at_least = ">=" if result.capped else ""
+    return [["n", "m_star"], [str(config.n_in), f"{at_least}{result.m_star}"]]
 
 
 def optimal_map_rows(config: RunConfig) -> list[list[str]]:
@@ -289,7 +289,7 @@ def _parser() -> argparse.ArgumentParser:
 
     p = add("mstar", "largest output count with p(0) > 1")
     p.add_argument("--n", dest="n_in", type=int, required=True)
-    p.add_argument("--cap", type=int, help="print >=CAP from this count up")
+    p.add_argument("--cap", type=int, help="print >=CAP from this count up, or >=N+1 if CAP <= N")
 
     p = add("optimal-map", "sector table of the argmax extremal map")
     p.add_argument("--n", dest="n_in", type=int, required=True)

@@ -36,8 +36,9 @@ __all__ = [
 # never wider than 1/GRID_STEPS, whatever the tolerance.
 GRID_STEPS = 512
 
-# K_N increases with N and K_6 = 49/48 > 1 (see analysis._zero_slope), so
-# K_N < 1, a bounded M*, happens only up to this N.
+# K_N increases with N and K_6 = 49/48 > 1 (see analysis._zero_slope, whose
+# closed form is one binomial coefficient), so K_N < 1, a bounded M*,
+# happens only up to this N.
 _LAST_BOUNDED_N = 5
 
 
@@ -66,8 +67,9 @@ class MStarResult:
 
     ``m_star == n_in`` means no output count ``M > N`` works at all (the
     case for ``N <= 3``).  ``capped`` is True when the exact ``M*`` is at
-    least ``cap`` (unbounded for every ``N >= 6``); ``m_star`` then reads
-    ``cap``.
+    least ``m_star``: a bounded ``M*`` (``N <= 5``) at least ``cap`` reads
+    ``cap``, and an unbounded one (every ``N >= 6``) reads
+    ``max(cap, N+1)``.
     """
 
     n_in: int
@@ -103,9 +105,13 @@ def r_star(n_in: int, m_out: int, tol: float = 1e-6) -> ThresholdResult:
     so at the default ``tol`` the gap ``1 - r*(N, N+1) ~ 2/N^2`` goes
     unresolved from ``N`` about 1400 on (ROADMAP.md item 1).  This relies on
     ``F_N(r)/r`` falling monotonically in ``r``, so that ``p = 1`` has a
-    single crossing; ``test_scaling_factor_never_increases_on_grid`` is the
-    evidence, for every ``N`` the CLI and the benchmark reach and on to
-    ``N = 10^5``.
+    single crossing.  ``test_f_n_is_concave_exactly`` proves it for every
+    ``N <= 202``, which covers the CLI's defaults and the benchmark: it takes
+    ``F_N``'s Bernstein coefficients on ``r in [0, 1]`` in exact rationals
+    and finds every second difference negative but the first, which is 0,
+    so ``F_N`` is concave with ``F_N(0) = 0`` and ``F_N(r)/r`` is
+    non-increasing.  ``test_scaling_factor_never_increases_on_grid`` checks
+    the fall in floats on to ``N = 10^5``.
     """
     if not m_out > n_in >= 1:
         raise ValueError(f"need M > N >= 1, got N={n_in}, M={m_out}")
@@ -141,15 +147,19 @@ def m_star(n_in: int, cap: int = 200) -> MStarResult:
 
     Presence, ``(M+2) K_N > M`` (see :func:`r_star`), is monotone in ``M``,
     so ``M*`` has a closed form and no curve is evaluated: ``M*(4) = 7``,
-    ``M*(5) = 21``, unbounded from ``N = 6`` (``K_6 = 49/48``).  When
-    ``M* >= cap`` the result is capped, meaning "at least ``cap``".
+    ``M*(5) = 21``, unbounded from ``N = 6`` (``K_6 = 49/48``).  An
+    unbounded ``M*`` is capped at ``max(cap, N+1)``, meaning "at least"
+    that, so every ``N`` answers; a bounded one at least ``cap`` is capped
+    at ``cap``, which must then exceed ``N``.
     """
     if n_in < 1:
         raise ValueError(f"need N >= 1, got {n_in}")
+    exact = _exact_m_star(n_in)
+    if exact is None:
+        return MStarResult(n_in, max(cap, n_in + 1), cap, True)
     if cap <= n_in:
         raise ValueError(f"cap {cap} leaves no output count above N={n_in}")
-    exact = _exact_m_star(n_in)
-    capped = exact is None or exact >= cap
+    capped = exact >= cap
     return MStarResult(n_in, cap if capped else exact, cap, capped)
 
 

@@ -20,6 +20,7 @@ from superbroadcast.analysis import (
     _moments_fast,
     _most_depolarizing_map,
     _polarization,
+    _zero_slope,
     half_spin_scaling_at_zero,
     input_weights,
     optimal_map,
@@ -138,6 +139,11 @@ def test_exact_zero_limit_cross_check():
             assert abs(float(exact) - curve.p_zero()) < 1e-11
     with pytest.raises(ValueError):
         half_spin_scaling_at_zero(4, 3)
+    # no register: K_0 = 0 from the closed form would be a silent answer
+    with pytest.raises(ValueError):
+        _zero_slope(0)
+    with pytest.raises(ValueError):
+        half_spin_scaling_at_zero(0, 3)
 
 
 def test_exact_zero_limit_frozen_values():

@@ -223,6 +223,10 @@ def test_cli_mstar_sentinel():
     result = run_cli("mstar", "--n", "6", "--cap", "60")
     assert result.returncode == 0
     assert result.stdout.splitlines()[1] == "6,>=60"
+    # M* is unbounded from N = 6 on, so past the cap it reads at least N+1
+    result = run_cli("mstar", "--n", "300")
+    assert result.returncode == 0
+    assert result.stdout.splitlines()[1] == "300,>=301"
 
 
 def test_cli_invalid_arguments_exit_2(tmp_path):
@@ -237,6 +241,7 @@ def test_cli_invalid_arguments_exit_2(tmp_path):
     assert no_cap.returncode == 2
     assert "unrecognized arguments: --cap" in no_cap.stderr
     assert run_cli("threshold", "--n", "4", "--m", "5", "--tol", "nan").returncode == 2
+    assert run_cli("mstar", "--n", "4", "--cap", "3").returncode == 2  # M*(4) is bounded
     # sizes whose multiplicities overflow a float exit cleanly, no traceback
     # (thresholds use no multiplicity; the per-sector curves still do)
     huge = run_cli("scaling", "--n", "1100", "--m", "1101")

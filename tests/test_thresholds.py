@@ -2,13 +2,14 @@
 
 import time
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
 
 import numpy as np
 import pytest
 
 from superbroadcast import analysis, thresholds
 from superbroadcast.analysis import (
+    _binomial_coefficients,
     _f_n,
     _zero_slope,
     half_spin_scaling_at_zero,
@@ -157,7 +158,7 @@ def test_zero_slope_increases_with_inputs():
     # multiplicities by adding one qubit at a time: d'(l) = d(l - 1/2) + d(l + 1/2)
     d = {1: 1}  # doubled spin -> multiplicity, one qubit
     previous = None
-    for n in range(1, 301):
+    for n in range(1, 401):
         k = Fraction(sum(dl * (dl + 1) * c for dl, c in d.items()), 3 * 2**n)
         assert k == _zero_slope(n)
         if previous is not None:
@@ -170,6 +171,71 @@ def test_zero_slope_increases_with_inputs():
                 if child >= 0:
                     d[child] = d.get(child, 0) + c
     assert _zero_slope(5) == Fraction(11, 12) < 1 <= _zero_slope(6) == Fraction(49, 48)
+
+
+def test_zero_slope_closed_form_at_large_n():
+    # one binomial coefficient, where the sector sum took minutes at N = 10^5
+    n, m = 10**5, 10**5 + 1
+    start = time.perf_counter()
+    exact = half_spin_scaling_at_zero(n, m)
+    assert time.perf_counter() - start < 1.0
+    leading = (m + 2) / m * (2 * np.sqrt(2 * n / np.pi) - 1) / 3
+    assert abs(float(exact) / leading - 1) < 1e-5
+
+
+def _exact_b(n):
+    """b_k = (k - N/2) S_|N-2k| for k = 0..N from the S recursion, exactly."""
+    s = {n + 2: Fraction(0)}
+    for dl in range(n, -1, -2):
+        ratio = Fraction(n - dl, n + dl + 2)
+        s[dl] = Fraction(4 * (dl + 1), (n + dl + 2) * (dl + 2)) + s[dl + 2] * ratio
+    return [(k - Fraction(n, 2)) * s[abs(n - 2 * k)] for k in range(n + 1)]
+
+
+def _bernstein_on_unit_r(n):
+    """F_N's Bernstein coefficients in r on [0, 1], each times one positive
+    integer, and that integer.
+
+    F_N = E[b_K], K ~ Bin(N, x), is the Bernstein polynomial with
+    coefficients b_k in x = (1+r)/2, so its coefficients on x in [1/2, 1]
+    are those in r on [0, 1].  De Casteljau subdivision at x = 1/2 gives
+    them, here in integers: neighbour sums in place of midpoints make row t
+    of the triangle 2^t times the true one.
+    """
+    b = _exact_b(n)
+    scale = lcm(*(x.denominator for x in b))
+    row = [int(x * scale) for x in b]
+    right = [row[-1]]
+    while len(row) > 1:
+        row = [x + y for x, y in zip(row, row[1:])]
+        right.append(row[-1])
+    # c_i is the last entry of row N-i over 2^(N-i)
+    return [v << i for i, v in enumerate(reversed(right))], scale << n
+
+
+def test_f_n_is_concave_exactly():
+    # F_N'' has Bernstein coefficients N(N-1) Delta^2 c_i.  Delta^2 c_0 = 0
+    # (F_N is odd) and every other one is negative, so F_N is concave on
+    # [0, 1], F_N(0) = c_0 = 0 makes F_N(r)/r non-increasing, and p = 1 has
+    # a single crossing: a proof for every N up to 202, which covers the
+    # CLI's defaults and every N the large-n-thresholds benchmark draws
+    for n in range(2, 203):
+        # the package's float recursion computes the same b_k
+        b = [float(x) for x in _exact_b(n)]
+        assert np.allclose(b, _binomial_coefficients(n), rtol=0, atol=1e-14)
+        c, scale = _bernstein_on_unit_r(n)
+        second = [x - 2 * y + z for x, y, z in zip(c, c[1:], c[2:])]
+        assert c[0] == 0 and second[0] == 0, f"N={n}"
+        assert all(d < 0 for d in second[1:]), f"F_N not strictly concave at N={n}"
+        if n > 12:
+            continue
+        # the recursion-built Bernstein form equals the multiplicity-built
+        # power form at N+1 distinct points, so the two polynomials agree
+        f = _f_coefficients(n)
+        for i in range(n + 1):
+            r = Fraction(i, n)
+            bernstein = sum(comb(n, k) * ck * r**k * (1 - r) ** (n - k) for k, ck in enumerate(c))
+            assert bernstein == scale * sum(fk * r**k for k, fk in enumerate(f)), f"N={n}, r={r}"
 
 
 def test_r_prime_factorizes_over_outputs():
@@ -230,6 +296,12 @@ def test_m_star_answers_unbounded_inputs_without_walking(monkeypatch):
     assert m_star(6, cap=10**9) == MStarResult(6, 10**9, 10**9, True)
     assert m_star(59, cap=60) == MStarResult(59, 60, 60, True)
     assert m_star(5, cap=10**9) == MStarResult(5, 21, 10**9, False)
+    # an unbounded M* answers "at least N+1" past the cap
+    assert m_star(10**5) == MStarResult(10**5, 10**5 + 1, 200, True)
+    assert m_star(6, cap=3) == MStarResult(6, 7, 3, True)
+    # a bounded M* still needs a cap above N
+    with pytest.raises(ValueError):
+        m_star(5, cap=5)
     # nor does r_star on an absent pair
     assert not r_star(4, 8).exists
     assert not r_star(3, 10**6).exists
@@ -257,7 +329,7 @@ def test_r_star_evaluates_f_n_at_scalars_only(monkeypatch):
 
 def test_presence_reads_zero_slope_only_up_to_five(monkeypatch):
     # K_N increases with N and K_6 > 1 (test_zero_slope_increases_with_inputs),
-    # so from N = 6 on presence is certain and needs no 2^N-denominator sum
+    # so from N = 6 on presence is certain and reads no K_N
     asked = []
 
     def recording(n):
