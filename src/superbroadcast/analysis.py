@@ -64,7 +64,7 @@ from .channels import (
     extremal_count,
     mix,
 )
-from .su2core import HalfInt, SpinLike, multiplicity, projections, spin_range
+from .su2core import HalfInt, SpinLike, _couples, multiplicity, projections, spin_range
 
 __all__ = [
     "InputWeights",
@@ -252,10 +252,10 @@ class BlochReport:
 class BlochCurve:
     """Vectorized ``r'(r)`` and ``p(r)`` evaluator for one channel.
 
-    Takes an extremal map or the coefficients of any convex mixture.
+    Takes an extremal map or the coefficients of any convex mixture; a
+    weighted ``J`` that cannot couple its ``j`` and ``l`` raises ValueError.
     Precomputes the coefficient that multiplies each input weight
-    ``w(l, n)``; evaluating the curve is then a single weighted power sum,
-    cheap enough for dense threshold grids at hundreds of qubits.
+    ``w(l, n)``; evaluating the curve is then a single weighted power sum.
 
     ``w(l, n)`` has only ``n_in + 1`` distinct values, so each point gets
     one power table ``r_+^k r_-^(n_in-k)`` that is gathered onto the
@@ -271,6 +271,8 @@ class BlochCurve:
         coeff_parts = []
         dn_parts = []
         for (j, l, J), s in coeffs.weights.items():
+            if not _couples(j.doubled, l.doubled, J.doubled):
+                raise ValueError(f"total spin J={J} cannot couple j={j} and l={l}")
             pol = _polarization(l.doubled, j.doubled, J.doubled)
             # s d_j is exact, (2l+1)/(2J+1) for an extremal map
             prefactor = float(s * multiplicity(m_out, j)) * multiplicity(n_in, l) / m_out

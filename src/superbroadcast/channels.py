@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator, Union
 
-from .su2core import HalfInt, SpinLike, multiplicity, spin_range
+from .su2core import HalfInt, SpinLike, _couples, multiplicity, spin_range
 
 __all__ = [
     "ExtremalMap",
@@ -65,8 +65,7 @@ class ExtremalMap:
         for l, j, J in zip(ls, self.output_spin, self.coupled_spin):
             if not isinstance(j, HalfInt) or not 0 <= j.doubled <= m or (m - j.doubled) % 2:
                 raise ValueError(f"output spin {j} invalid for {self.m_out} qubits")
-            lo, hi = abs(j.doubled - l.doubled), j.doubled + l.doubled
-            if not isinstance(J, HalfInt) or not lo <= J.doubled <= hi or (J.doubled - lo) % 2:
+            if not isinstance(J, HalfInt) or not _couples(j.doubled, l.doubled, J.doubled):
                 raise ValueError(f"coupled spin {J} invalid for pair ({j}, {l})")
 
     def input_spins(self) -> list[HalfInt]:
@@ -203,22 +202,23 @@ def mix(a: ChannelCoeffs, b: ChannelCoeffs, weight: Weight) -> ChannelCoeffs:
     return ChannelCoeffs(a.n_in, a.m_out, mixed)
 
 
-def validate_trace_preserving(
-    coeffs: ChannelCoeffs, tol: float = 1e-12
-) -> TracePreservationReport:
-    """Check the per-``l`` trace condition and weight positivity.
+def validate_trace_preserving(coeffs: ChannelCoeffs) -> TracePreservationReport:
+    """Check the per-``l`` trace condition, weight positivity and coupling.
 
     For every input spin ``l`` the weights must satisfy
     ``sum_{j,J} d_j * s(j,l,J) * (2J+1)/(2l+1) = 1``.  The report lists the
     residual of that sum for each ``l``; the violation list is empty exactly
-    when all residuals are below ``tol`` and no weight is negative.  Exact
-    rational weights produce exact residuals.
+    when all residuals are below ``1e-12``, no weight is negative and every
+    weighted triple has a total spin ``J`` that couples ``j`` and ``l``.
+    Exact rational weights produce exact residuals.
     """
     sums: dict[HalfInt, Weight] = {l: Fraction(0) for l in spin_range(coeffs.n_in)}
     violations = []
     for (j, l, J), s in coeffs.weights.items():
         if s < 0:
             violations.append(f"negative weight {s} at (j={j}, l={l}, J={J})")
+        if not _couples(j.doubled, l.doubled, J.doubled):
+            violations.append(f"total spin J={J} cannot couple j={j} and l={l}")
         if l not in sums:
             violations.append(f"unknown input spin {l} for {coeffs.n_in} qubits")
             continue
@@ -227,6 +227,6 @@ def validate_trace_preserving(
     for l, total in sums.items():
         residual = total - 1
         residuals.append((l, float(residual)))
-        if abs(residual) >= tol:
+        if abs(residual) >= 1e-12:
             violations.append(f"trace condition off by {float(residual):.3e} at l={l}")
     return TracePreservationReport(tuple(residuals), tuple(violations))

@@ -42,12 +42,10 @@ __all__ = [
     "CheckResult",
     "VerificationReport",
     "schur_isometry",
-    "projector_J",
     "build_choi",
     "apply_channel",
     "partial_trace",
     "single_copy_marginal",
-    "bloch_vector",
     "qubit_state",
     "product_input",
     "random_axis",
@@ -214,25 +212,6 @@ def _coupled_columns(
     return columns.reshape(out_blocks.shape[2] * in_blocks.shape[2], -1)
 
 
-def projector_J(
-    j: SpinLike,
-    l: SpinLike,
-    J: SpinLike,
-    out_block: np.ndarray,
-    in_block: np.ndarray,
-) -> DenseOperator:
-    """Projector onto total spin ``J`` in one (output, input) sector pair.
-
-    ``out_block`` and ``in_block`` are Schur blocks (rows = projections,
-    descending) of spins ``j`` and ``l``; the result acts on the joint space
-    ordered output (x) input and has rank ``2J+1``.
-    """
-    coupled = _coupled_columns(
-        HalfInt.of(j), HalfInt.of(l), HalfInt.of(J), out_block[None], in_block[None]
-    )
-    return coupled @ coupled.T
-
-
 def build_choi(coeffs: ChannelCoeffs) -> DenseOperator:
     """Dense Choi operator of a coefficient channel.
 
@@ -394,17 +373,6 @@ def single_copy_marginal(rho_out: DenseOperator, which: int) -> DenseOperator:
     if not 0 <= which < m_out:
         raise ValueError(f"qubit index {which} out of range for {m_out} outputs")
     return partial_trace(rho_out, [which], m_out)
-
-
-def bloch_vector(rho: DenseOperator) -> np.ndarray:
-    """Cartesian Bloch components of a single-qubit state."""
-    return np.array(
-        [
-            float(np.real(np.trace(rho @ PAULI_X))),
-            float(np.real(np.trace(rho @ PAULI_Y))),
-            float(np.real(np.trace(rho @ PAULI_Z))),
-        ]
-    )
 
 
 def qubit_state(r: float, axis: Sequence[float]) -> DenseOperator:
@@ -574,9 +542,9 @@ def verify_closed_form(
     traces and Bloch components are ``Re tr(rho sigma)`` in one ``einsum``.
     The output side of the covariance check is rotated one qubit at a time.
 
-    ``coefficients`` overrides the map's own weights (normally left at
-    ``None``); a corrupted set makes the trace-preservation and closed-form
-    checks report their deviations honestly.
+    ``coefficients`` overrides the map's own weights; only the tests and the
+    ``dense-oracle`` benchmark set it, to a corrupted set whose deviations
+    the trace-preservation and closed-form checks must report.
     """
     from .analysis import single_copy_bloch  # local import: analysis is the peer under test
 
@@ -653,16 +621,15 @@ def verify_closed_form(
 # standalone identity checks
 
 
-def symmetric_marginal_deviation(j_max: SpinLike = 3) -> float:
+def symmetric_marginal_deviation() -> float:
     """Max deviation of one-qubit marginals of top-spin Schur columns.
 
     For the spin-``j`` column ``|j m>`` of ``2j`` qubits the single-qubit
     reduced state must equal ``I/2 + (m/2j) sigma_z``; returns the largest
-    absolute entry difference over ``j <= j_max`` and all ``m``.
+    absolute entry difference over ``j <= 3`` (1 to 6 qubits) and all ``m``.
     """
-    top = HalfInt.of(j_max)
     worst = 0.0
-    for dj in range(1, top.doubled + 1):
+    for dj in range(1, 7):
         j = HalfInt(dj)
         iso = schur_isometry(dj)
         for m in projections(j):

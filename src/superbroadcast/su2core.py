@@ -11,6 +11,7 @@ without any floating-point tolerance.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -44,8 +45,9 @@ class HalfInt:
     def of(cls, value: SpinLike) -> "HalfInt":
         """Coerce ``value`` to a :class:`HalfInt`, requiring exactness.
 
-        Accepts HalfInt, int, Fraction, or float.  Raises :class:`ValueError`
-        if ``2 * value`` is not an integer (e.g. ``0.3``).
+        Accepts HalfInt, int, Fraction, float, or any other integral number
+        (numpy integers among them).  Raises :class:`ValueError` if
+        ``2 * value`` is not an integer (e.g. ``0.3``).
         """
         if isinstance(value, HalfInt):
             return value
@@ -61,6 +63,8 @@ class HalfInt:
             if two != int(two):
                 raise ValueError(f"{value} is not a half-integer")
             return cls(int(two))
+        if isinstance(value, numbers.Integral):
+            return cls(2 * int(value))
         raise TypeError(f"cannot interpret {value!r} as a half-integer")
 
     # -- arithmetic ---------------------------------------------------------
@@ -133,6 +137,11 @@ def coupled_range(j1: SpinLike, j2: SpinLike) -> list[HalfInt]:
     return [HalfInt(d) for d in range(lo, hi + 1, 2)]
 
 
+def _couples(dj1: int, dj2: int, dJ: int) -> bool:
+    """``|j1 - j2| <= J <= j1 + j2`` with ``j1 + j2 - J`` whole, on doubled spins."""
+    return abs(dj1 - dj2) <= dJ <= dj1 + dj2 and (dj1 + dj2 - dJ) % 2 == 0
+
+
 def projections(j: SpinLike) -> list[HalfInt]:
     """Projections ``-j .. +j`` of a spin-j multiplet, ascending."""
     jj = HalfInt.of(j)
@@ -188,7 +197,7 @@ def _cg_signed_square(
         return 0, Fraction(0)
     if abs(dm1) > dj1 or abs(dm2) > dj2 or abs(dM) > dJ:
         return 0, Fraction(0)
-    if dJ < abs(dj1 - dj2) or dJ > dj1 + dj2 or (dj1 + dj2 + dJ) % 2 != 0:
+    if not _couples(dj1, dj2, dJ):
         return 0, Fraction(0)
 
     f = math.factorial

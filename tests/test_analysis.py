@@ -30,6 +30,7 @@ from superbroadcast.analysis import (
     single_copy_convex,
 )
 from superbroadcast.channels import (
+    ChannelCoeffs,
     ExtremalMap,
     coefficients_for,
     conjectured_optimal_map,
@@ -488,3 +489,24 @@ def test_f_n_window_matches_full_range_sum():
             pmf = np.exp(log_pmf - log_pmf.max())
             full = (b * pmf).sum() / pmf.sum()
             assert_allclose(_f_n(n, r), full, rtol=1e-9, err_msg=f"N={n}, r={r}")
+
+
+@pytest.mark.parametrize("coupled", [HalfInt(9), HalfInt(4)], ids=["too-large", "wrong-parity"])
+def test_uncoupled_total_spin_is_rejected(coupled):
+    # the 2 -> 3 optimal map with its l = 1 triple moved from J = 1/2 to a J
+    # that cannot couple j = 3/2 and l = 1, weighted to keep the trace sum
+    weights = dict(coefficients_for(conjectured_optimal_map(2, 3)).weights)
+    j, l = HalfInt(3), HalfInt(2)
+    del weights[(j, l, HalfInt(1))]
+    weights[(j, l, coupled)] = Fraction(l.dim, coupled.dim)
+    coeffs = ChannelCoeffs(2, 3, weights)
+    message = f"total spin J={coupled} cannot couple j=3/2 and l=1"
+    assert validate_trace_preserving(coeffs).violations == (message,)
+    with pytest.raises(ValueError, match=message):
+        single_copy_convex(coeffs, 0.5)
+
+
+def test_numpy_integer_spin_labels():
+    assert input_weights(4, 0.5).weight(np.int64(1), 0) == input_weights(4, 0.5).weight(1, 0)
+    emap = conjectured_optimal_map(4, 5)
+    assert emap.output_spin_for(np.int64(2)) == emap.output_spin_for(2) == HalfInt(5)

@@ -4,6 +4,7 @@ import argparse
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -82,13 +83,26 @@ def test_figure3_rows_ignore_the_mstar_cap():
     assert figure3_rows(RunConfig("figure3", n_range=(4, 5), cap=7)) == default
 
 
-def test_verify_lines_pass_and_fault():
+def _inject_fault(monkeypatch):
+    # scale one weight of the map by 101/100 wherever verify_lines takes it
+    honest = cli.coefficients_for
+
+    def faulted(emap):
+        coeffs = honest(emap)
+        key = next(iter(coeffs.weights))
+        weights = dict(coeffs.weights)
+        weights[key] = weights[key] * Fraction(101, 100)
+        return channels.ChannelCoeffs(coeffs.n_in, coeffs.m_out, weights)
+
+    monkeypatch.setattr(cli, "coefficients_for", faulted)
+
+
+def test_verify_lines_pass_and_fault(monkeypatch):
     lines, ok = verify_lines(RunConfig("verify", n_in=2, m_out=3, cap=12))
     assert ok
     assert any("PASS: all" in line for line in lines)
-    lines, ok = verify_lines(
-        RunConfig("verify", n_in=2, m_out=3, cap=12, inject_fault=True)
-    )
+    _inject_fault(monkeypatch)
+    lines, ok = verify_lines(RunConfig("verify", n_in=2, m_out=3, cap=12))
     assert not ok
     assert any("trace_preservation" in line and "FAIL" in line for line in lines)
 
@@ -112,7 +126,7 @@ def test_each_subcommand_parses_to_the_run_config_defaults():
     defaults = RunConfig("figure2")
     assert (defaults.r, defaults.r_min, defaults.r_max, defaults.steps) == (0.5, 0.0, 1.0, 101)
     assert (defaults.tol, defaults.cap, defaults.seed) == (1e-6, 200, 7)
-    assert defaults.output_path is None and not defaults.inject_fault
+    assert defaults.output_path is None
     rows = figure3_rows(RunConfig("figure3"))
     assert [row[0] for row in rows[1:]] == [str(n) for n in range(4, 13)]
 
@@ -242,6 +256,7 @@ def test_cli_invalid_arguments_exit_2(tmp_path):
     assert "unrecognized arguments: --cap" in no_cap.stderr
     assert run_cli("threshold", "--n", "4", "--m", "5", "--tol", "nan").returncode == 2
     assert run_cli("mstar", "--n", "4", "--cap", "3").returncode == 2  # M*(4) is bounded
+    assert run_cli("verify", "--n", "2", "--m", "3", "--inject-fault").returncode == 2
     # sizes whose multiplicities overflow a float exit cleanly, no traceback
     # (thresholds use no multiplicity; the per-sector curves still do)
     huge = run_cli("scaling", "--n", "1100", "--m", "1101")
@@ -314,13 +329,14 @@ def test_cli_reruns_are_byte_identical():
     assert first.stdout.splitlines()[0] == "panel,n,m,r,r_prime,p"
 
 
-def test_cli_verify_exit_codes():
+def test_cli_verify_exit_codes(monkeypatch, capsys):
     good = run_cli("verify", "--n", "2", "--m", "3")
     assert good.returncode == 0
     assert "PASS: all" in good.stdout
-    bad = run_cli("verify", "--n", "2", "--m", "3", "--inject-fault")
-    assert bad.returncode == 1
-    assert "FAIL" in bad.stdout
+    _inject_fault(monkeypatch)
+    assert cli.main(["verify", "--n", "2", "--m", "3"]) == 1
+    bad = capsys.readouterr().out.splitlines()
+    assert any("trace_preservation" in line and "FAIL" in line for line in bad)
 
 
 def test_cli_verify_one_copy_reports_no_broadcasting():

@@ -23,13 +23,11 @@ from superbroadcast.oracle import (
     _rotate,
     _spin_flipped,
     apply_channel,
-    bloch_vector,
     build_choi,
     kron_power,
     partial_trace,
     permutation_twirl_deviation,
     product_input,
-    projector_J,
     qubit_state,
     random_axis,
     random_su2,
@@ -39,6 +37,21 @@ from superbroadcast.oracle import (
     verify_closed_form,
 )
 from superbroadcast.su2core import HalfInt, coupled_range, multiplicity, spin_range
+
+
+def projector_J(j, l, J, out_block, in_block):
+    # projector onto total spin J in one (output, input) pair of Schur blocks,
+    # on the joint space ordered output (x) input, of rank 2J+1
+    coupled = oracle._coupled_columns(
+        HalfInt.of(j), HalfInt.of(l), HalfInt.of(J), out_block[None], in_block[None]
+    )
+    return coupled @ coupled.T
+
+
+def bloch_vector(rho):
+    # Cartesian Bloch components Re tr(rho sigma) of a single-qubit state
+    paulis = (oracle.PAULI_X, oracle.PAULI_Y, oracle.PAULI_Z)
+    return np.array([float(np.real(np.trace(rho @ sigma))) for sigma in paulis])
 
 
 def test_schur_isometry_is_unitary():
@@ -124,7 +137,7 @@ def test_identity_channel_reproduces_the_state():
 
 
 def _faulted(coeffs):
-    # one weight scaled by 101/100, the corruption of ``verify --inject-fault``
+    # one weight scaled by 101/100, the corruption the dense-oracle benchmark applies
     key = next(iter(coeffs.weights))
     weights = dict(coeffs.weights)
     weights[key] = weights[key] * Fraction(101, 100)
@@ -532,7 +545,7 @@ def test_verify_closed_form_catches_corruption():
 
 def test_symmetric_state_marginal_identity():
     # one-qubit marginal of |j m> on 2j qubits is I/2 + (m/2j) sigma_z
-    assert symmetric_marginal_deviation(3) < 1e-12
+    assert symmetric_marginal_deviation() < 1e-12
 
 
 def test_permutation_twirl_identity():

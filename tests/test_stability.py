@@ -1,5 +1,5 @@
 """Byte and name stability: the reference CLI digests and the public API,
-and no check in the package that relies on ``assert``."""
+no check in the package that relies on ``assert``, and no unused import."""
 
 import ast
 import hashlib
@@ -113,12 +113,10 @@ MODULE_API = {
         "CheckResult",
         "VerificationReport",
         "schur_isometry",
-        "projector_J",
         "build_choi",
         "apply_channel",
         "partial_trace",
         "single_copy_marginal",
-        "bloch_vector",
         "qubit_state",
         "product_input",
         "random_axis",
@@ -163,4 +161,26 @@ def test_package_checks_do_not_rely_on_assert():
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
             if isinstance(node, ast.Assert):
                 found.append(f"{path.name}:{node.lineno}")
+    assert found == []
+
+
+def test_package_has_no_unused_import():
+    # every imported name is read somewhere in its module or re-exported
+    found = []
+    for path in sorted((Path(superbroadcast.__file__).parent).glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                for alias in node.names:
+                    imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                for alias in node.names:
+                    imported[alias.asname or alias.name] = node.lineno
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in tree.body:
+            targets = getattr(node, "targets", [])
+            if [getattr(target, "id", None) for target in targets] == ["__all__"]:
+                used |= set(ast.literal_eval(node.value))
+        found += [f"{path.name}:{line} {name}" for name, line in imported.items() if name not in used]
     assert found == []

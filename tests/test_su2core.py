@@ -30,6 +30,16 @@ def test_halfint_coercion():
         HalfInt.of("1/2")
 
 
+def test_halfint_accepts_numpy_integers():
+    for kind in (np.int8, np.int32, np.int64, np.uint16):
+        for value in (0, 1, 2, 7):
+            spin = HalfInt.of(kind(value))
+            assert spin == HalfInt.of(value)
+            assert type(spin.doubled) is int
+    assert HalfInt.of(np.int64(-3)) == HalfInt.of(-3)
+    assert multiplicity(4, np.int64(1)) == 3
+
+
 def test_halfint_arithmetic_and_display():
     j = HalfInt.of(Fraction(3, 2))
     assert j + HalfInt.of(0.5) == HalfInt.of(2)
