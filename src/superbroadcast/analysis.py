@@ -64,7 +64,9 @@ from .channels import (
     extremal_count,
     mix,
 )
-from .su2core import HalfInt, SpinLike, _couples, multiplicity, projections, spin_range
+from .su2core import (
+    HalfInt, SpinLike, _couples, _is_spin_of, multiplicity, projections, spin_range
+)
 
 __all__ = [
     "InputWeights",
@@ -113,7 +115,7 @@ class InputWeights:
     def weight(self, l: SpinLike, n: SpinLike) -> float:
         dl = HalfInt.of(l).doubled
         dn = HalfInt.of(n).doubled
-        if abs(dn) > dl or dl > self.n_in or (self.n_in + dn) % 2 != 0:
+        if not _is_spin_of(self.n_in, dl) or abs(dn) > dl or (self.n_in + dn) % 2 != 0:
             raise ValueError(
                 f"projection {HalfInt(dn)} invalid in sector l={HalfInt(dl)} "
                 f"of {self.n_in} qubits"
@@ -256,6 +258,9 @@ class BlochCurve:
     weighted ``J`` that cannot couple its ``j`` and ``l`` raises ValueError.
     Precomputes the coefficient that multiplies each input weight
     ``w(l, n)``; evaluating the curve is then a single weighted power sum.
+    Its slope at zero, ``p(0) = -2/(3 M 2^N) sum s d_j d_l (2J+1) sigma``
+    with ``sigma = J(J+1) - j(j+1) - l(l+1)``, is summed exactly over the
+    weighted triples and rounded once.
 
     ``w(l, n)`` has only ``n_in + 1`` distinct values, so each point gets
     one power table ``r_+^k r_-^(n_in-k)`` that is gathered onto the
@@ -269,20 +274,24 @@ class BlochCurve:
         coeffs = coefficients_for(channel) if isinstance(channel, ExtremalMap) else channel
         n_in, m_out = coeffs.n_in, coeffs.m_out
         coeff_parts = []
-        dn_parts = []
+        exp_parts = []
+        numerator, denominator = 0, 1
         for (j, l, J), s in coeffs.weights.items():
             if not _couples(j.doubled, l.doubled, J.doubled):
                 raise ValueError(f"total spin J={J} cannot couple j={j} and l={l}")
-            pol = _polarization(l.doubled, j.doubled, J.doubled)
+            d_j, d_l = multiplicity(m_out, j), multiplicity(n_in, l)
             # s d_j is exact, (2l+1)/(2J+1) for an extremal map
-            prefactor = float(s * multiplicity(m_out, j)) * multiplicity(n_in, l) / m_out
-            coeff_parts.append(prefactor * pol)
-            dn_parts.append(np.arange(-l.doubled, l.doubled + 1, 2))
+            prefactor = float(s * d_j) * d_l / m_out
+            coeff_parts.append(prefactor * _polarization(l.doubled, j.doubled, J.doubled))
+            exp_parts.append(np.arange((n_in + l.doubled) // 2, (n_in - l.doubled) // 2 - 1, -1))
+            top, bottom = s.as_integer_ratio()
+            term = top * d_j * d_l * J.dim * _sector_score(l.doubled, j.doubled, J.doubled)
+            numerator, denominator = numerator * bottom + term * denominator, denominator * bottom
         self.n_in = n_in
         self.m_out = m_out
         self._coeff = np.concatenate(coeff_parts)
-        self._dn = np.concatenate(dn_parts)
-        self._exp_plus = (n_in - self._dn) // 2
+        self._exp_plus = np.concatenate(exp_parts)
+        self._p_zero = -numerator / (6 * m_out * denominator << n_in)
 
     def r_prime(self, r: Union[float, np.ndarray]) -> Union[float, np.ndarray]:
         """Output Bloch length at input length ``r`` (scalar or array)."""
@@ -302,8 +311,8 @@ class BlochCurve:
         return float(value) if np.isscalar(r) else value
 
     def p_zero(self) -> float:
-        """Limit of ``r'/r`` as ``r -> 0`` (derivative of ``r'`` at zero)."""
-        return float(np.dot(self._coeff, -self._dn.astype(float)) * 0.5**self.n_in)
+        """Limit of ``r'/r`` as ``r -> 0``, the exact sector sum rounded once."""
+        return self._p_zero
 
     def p(self, r: Union[float, np.ndarray]) -> Union[float, np.ndarray]:
         """Scaling factor ``r'/r``, with the analytic limit at ``r = 0``."""
@@ -444,8 +453,8 @@ def half_spin_scaling_at_zero(n_in: int, m_out: int) -> Fraction:
         p(0) = (M+2) / (3 M 2^N) * sum_l 2l (2l+1) d_l = (M+2)/M * K_N ,
 
     which this function returns exactly, with ``K_N`` from its
-    one-binomial closed form (see :func:`_zero_slope`).  It must (and does)
-    agree with :meth:`BlochCurve.p_zero` of the conjectured map; requires
+    one-binomial closed form (see :func:`_zero_slope`).  Rounded once, it
+    is :meth:`BlochCurve.p_zero` of the conjectured map bit for bit; requires
     ``m_out >= n_in`` so that every sector has ``J = M/2 - l >= 0``.
     """
     if m_out < n_in:

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator, Union
 
-from .su2core import HalfInt, SpinLike, _couples, multiplicity, spin_range
+from .su2core import HalfInt, SpinLike, _couples, _is_spin_of, multiplicity, spin_range
 
 __all__ = [
     "ExtremalMap",
@@ -60,10 +60,8 @@ class ExtremalMap:
                 f"need one (output, coupled) spin pair per input spin; "
                 f"expected {len(ls)} entries"
             )
-        # j in spin_range(M) and J in coupled_range(j, l), tested on doubled spins
-        m = self.m_out
         for l, j, J in zip(ls, self.output_spin, self.coupled_spin):
-            if not isinstance(j, HalfInt) or not 0 <= j.doubled <= m or (m - j.doubled) % 2:
+            if not isinstance(j, HalfInt) or not _is_spin_of(self.m_out, j.doubled):
                 raise ValueError(f"output spin {j} invalid for {self.m_out} qubits")
             if not isinstance(J, HalfInt) or not _couples(j.doubled, l.doubled, J.doubled):
                 raise ValueError(f"coupled spin {J} invalid for pair ({j}, {l})")
@@ -209,7 +207,7 @@ def validate_trace_preserving(coeffs: ChannelCoeffs) -> TracePreservationReport:
     ``sum_{j,J} d_j * s(j,l,J) * (2J+1)/(2l+1) = 1``.  The report lists the
     residual of that sum for each ``l``; the violation list is empty exactly
     when all residuals are below ``1e-12``, no weight is negative and every
-    weighted triple has a total spin ``J`` that couples ``j`` and ``l``.
+    weighted triple has spins of the registers and a ``J`` coupling them.
     Exact rational weights produce exact residuals.
     """
     sums: dict[HalfInt, Weight] = {l: Fraction(0) for l in spin_range(coeffs.n_in)}
@@ -221,6 +219,9 @@ def validate_trace_preserving(coeffs: ChannelCoeffs) -> TracePreservationReport:
             violations.append(f"total spin J={J} cannot couple j={j} and l={l}")
         if l not in sums:
             violations.append(f"unknown input spin {l} for {coeffs.n_in} qubits")
+            continue
+        if not _is_spin_of(coeffs.m_out, j.doubled):
+            violations.append(f"output spin {j} invalid for {coeffs.m_out} qubits")
             continue
         sums[l] += s * Fraction(multiplicity(coeffs.m_out, j) * J.dim, l.dim)
     residuals = []

@@ -33,7 +33,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .channels import ChannelCoeffs, ExtremalMap, coefficients_for
-from .su2core import HalfInt, SpinLike, cg, coupled_range, multiplicity, projections
+from .su2core import HalfInt, SpinLike, _is_spin_of, cg, coupled_range, multiplicity, projections
 
 __all__ = [
     "DenseOperator",
@@ -237,6 +237,8 @@ def build_choi(coeffs: ChannelCoeffs) -> DenseOperator:
         weight = float(s)
         if weight == 0.0:
             continue
+        if not (_is_spin_of(m_out, j.doubled) and _is_spin_of(n_in, l.doubled)):
+            raise ValueError(f"no Schur block for (j={j}, l={l}, J={J}) in {m_out}+{n_in} qubits")
         coupled = _coupled_columns(
             j,
             l,

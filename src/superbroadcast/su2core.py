@@ -142,6 +142,11 @@ def _couples(dj1: int, dj2: int, dJ: int) -> bool:
     return abs(dj1 - dj2) <= dJ <= dj1 + dj2 and (dj1 + dj2 - dJ) % 2 == 0
 
 
+def _is_spin_of(n_qubits: int, d: int) -> bool:
+    """Doubled spin ``d`` occurs in ``n_qubits`` qubits: ``0 <= d <= n``, ``n - d`` even."""
+    return 0 <= d <= n_qubits and (n_qubits - d) % 2 == 0
+
+
 def projections(j: SpinLike) -> list[HalfInt]:
     """Projections ``-j .. +j`` of a spin-j multiplet, ascending."""
     jj = HalfInt.of(j)
@@ -161,10 +166,8 @@ def multiplicity(n_qubits: int, j: SpinLike) -> int:
     d = jj.doubled
     if n_qubits < 1:
         raise ValueError(f"need at least one qubit, got {n_qubits}")
-    if d < 0 or d > n_qubits:
-        raise ValueError(f"spin {jj} out of range for {n_qubits} qubits")
-    if (n_qubits + d) % 2 != 0:
-        raise ValueError(f"spin {jj} has wrong parity for {n_qubits} qubits")
+    if not _is_spin_of(n_qubits, d):
+        raise ValueError(f"spin {jj} is not a spin of {n_qubits} qubits")
     k = (n_qubits + d) // 2
     numerator = (d + 1) * math.comb(n_qubits, k)
     denominator = k + 1

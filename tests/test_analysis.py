@@ -87,6 +87,10 @@ def test_input_weights_values():
         w.weight(3, 0)
     with pytest.raises(ValueError):
         input_weights(2, 1.5)
+    # l = 1 is not a spin of 3 qubits, whatever the projection
+    for n in (Fraction(1, 2), Fraction(-1, 2), 0, 1):
+        with pytest.raises(ValueError, match="invalid in sector l=1 of 3 qubits"):
+            input_weights(3, 0.5).weight(1, n)
 
 
 def test_input_weights_unit_trace():
@@ -137,7 +141,7 @@ def test_exact_zero_limit_cross_check():
         for m in range(n, n + 12):
             exact = half_spin_scaling_at_zero(n, m)
             curve = BlochCurve(conjectured_optimal_map(n, m))
-            assert abs(float(exact) - curve.p_zero()) < 1e-11
+            assert curve.p_zero() == float(exact)
     with pytest.raises(ValueError):
         half_spin_scaling_at_zero(4, 3)
     # no register: K_0 = 0 from the closed form would be a silent answer
@@ -156,6 +160,57 @@ def test_exact_zero_limit_frozen_values():
     # at M = 22 the limit equals 1 exactly: no superbroadcasting margin left
     assert half_spin_scaling_at_zero(5, 22) == 1
     assert half_spin_scaling_at_zero(6, 500) > 1
+
+
+def _exact_p_zero(coeffs):
+    """``-2/(3 M 2^N) sum s d_j d_l (2J+1) sigma`` in Fractions, weights as stored.
+
+    ``sigma = J(J+1) - j(j+1) - l(l+1)``; each multiplicity is
+    ``(2j+1) C(n, n/2+j) / (n/2+j+1)``, so no package code evaluates it.
+    """
+
+    def count(qubits, d):
+        k = (qubits + d) // 2
+        return (d + 1) * math.comb(qubits, k) // (k + 1)
+
+    n, m = coeffs.n_in, coeffs.m_out
+    total = Fraction(0)
+    for (j, l, J), s in coeffs.weights.items():
+        dj, dl, dJ = j.doubled, l.doubled, J.doubled
+        sigma = Fraction(dJ * (dJ + 2) - dj * (dj + 2) - dl * (dl + 2), 4)
+        total += Fraction(s) * count(m, dj) * count(n, dl) * (dJ + 1) * sigma
+    return -2 * total / (3 * m * 2**n)
+
+
+def test_p_zero_of_the_optimal_map_is_exact():
+    # every N <= 120 with M in N-2..N+5, 2N and 1000
+    pairs = {
+        (n, m) for n in range(1, 121) for m in [*range(n - 2, n + 6), 2 * n, 1000] if m >= 1
+    }
+    assert len(pairs) == 1192
+    for n, m in sorted(pairs):
+        emap = conjectured_optimal_map(n, m)
+        if m >= n:
+            exact = half_spin_scaling_at_zero(n, m)
+            if n <= 12:
+                assert _exact_p_zero(coefficients_for(emap)) == exact
+        else:
+            exact = _exact_p_zero(coefficients_for(emap))
+        assert BlochCurve(emap).p_zero() == float(exact), (n, m)
+
+
+def test_p_zero_of_any_channel_is_its_exact_sector_sum():
+    for n in range(1, 13):
+        for m in sorted({max(n - 2, 1), max(n - 1, 1), n + 1, 2 * n + 3}):
+            best = coefficients_for(conjectured_optimal_map(n, m))
+            worst = coefficients_for(_most_depolarizing_map(n, m))
+            for coeffs in (worst, mix(best, worst, Fraction(2, 7)), mix(best, worst, 0.3)):
+                curve = BlochCurve(coeffs)
+                exact = _exact_p_zero(coeffs)
+                assert curve.p_zero() == float(exact), (n, m)
+                # the slope at zero of the polynomial that r_prime evaluates
+                slope = curve._coeff @ (2 * curve._exp_plus - n) * 0.5**n
+                assert_allclose(slope, float(exact), rtol=1e-12, atol=1e-15)
 
 
 def test_alpha_identity_matches_cg_sums():
@@ -208,8 +263,8 @@ def _expanded_r_prime(curve, r):
     rr = np.asarray(r, dtype=float)
     r_plus = (1.0 + rr) / 2.0
     r_minus = (1.0 - rr) / 2.0
-    exp_plus = (curve.n_in - curve._dn) // 2
-    exp_minus = (curve.n_in + curve._dn) // 2
+    exp_plus = curve._exp_plus
+    exp_minus = curve.n_in - curve._exp_plus
     weights = r_plus[..., None] ** exp_plus * r_minus[..., None] ** exp_minus
     return np.where(rr == 0.0, 0.0, weights @ curve._coeff)
 

@@ -159,6 +159,19 @@ def test_trace_validation_flags_corruption():
     assert any("negative weight" in v for v in report.violations)
 
 
+def test_trace_validation_reports_an_output_spin_of_the_wrong_register():
+    # j = 1 is not a spin of 3 qubits; the triple is reported, not raised on
+    coeffs = coefficients_for(conjectured_optimal_map(2, 3))
+    moved = {
+        (HalfInt(2) if l.doubled == 0 else j, l, J): s
+        for (j, l, J), s in coeffs.weights.items()
+    }
+    report = validate_trace_preserving(ChannelCoeffs(2, 3, moved))
+    assert "output spin 1 invalid for 3 qubits" in report.violations
+    # its trace term is skipped, so the l = 0 sum is short by the whole unit
+    assert dict(report.residuals)[HalfInt(0)] == -1.0
+
+
 def test_mix_is_exact_convex_combination():
     maps = enumerate_extremal(2, 2)
     a = coefficients_for(maps[0])

@@ -1,9 +1,13 @@
 """Command-line interface: CSV output, sentinels, exit codes, determinism."""
 
 import argparse
+import contextlib
+import math
 import os
 import subprocess
 import sys
+import time
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -179,6 +183,53 @@ def test_cli_figure3_past_a_thousand_inputs(capsys):
     assert [row[0] for row in rows] == ["n", "1000", "1001", "1002"]
     for _, adjacent, maximal in rows[1:]:
         assert 0.0 < float(adjacent) < float(maximal) < 1.0
+
+
+def test_cli_scaling_prints_p_at_zero_correctly_rounded():
+    # rows whose 12th digit a float slope of the coefficients gets wrong
+    for n, m, p in ((4, 1000, "0.79325"), (77, 78, "4.46097555815")):
+        rows = scaling_rows(RunConfig("scaling", n_in=n, m_out=m, steps=2))
+        assert rows[1] == [str(n), str(m), "0", "0", p]
+
+
+# Corners of the supported range: each command exits 0 with only finite
+# numbers, or 2 with one clean error line.
+CORNERS = [
+    ("scaling --n 1024 --m 2 --steps 2", 0),
+    ("scaling --n 1040 --m 2 --steps 2", 2),
+    ("threshold --n 100000 --m 100001", 0),
+    ("mstar --n 100000", 0),
+    ("optimal-map --n 1100 --m 1101", 0),
+    ("figure3 --n-range 1100..1100", 0),
+    ("verify --n 6 --m 7", 2),
+]
+
+
+def test_cli_corner_sweep(capsys):
+    analysis._cached_curve.cache_clear()
+    analysis.scaling_profile.cache_clear()
+    analysis._binomial_coefficients.cache_clear()
+    outputs = {}
+    start = time.perf_counter()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for command, code in CORNERS:
+            try:
+                got = cli.main(command.split())
+            except SystemExit as exc:
+                got = exc.code
+            out, err = capsys.readouterr()
+            assert got == code, (command, err)
+            assert "Traceback" not in err
+            if code == 2:
+                assert err.splitlines()[-1].startswith("superbroadcast: error: "), command
+                continue
+            for field in out.replace("\n", ",").split(","):
+                with contextlib.suppress(ValueError):
+                    assert math.isfinite(float(field)), (command, field)
+            outputs[command] = out.splitlines()
+    assert time.perf_counter() - start < 3.0
+    assert outputs[CORNERS[0][0]][1] == "1024,2,0,0,17.3589923634"
 
 
 def test_cli_builds_its_parser_once(monkeypatch, capsys):

@@ -354,6 +354,18 @@ def test_build_choi_cap(monkeypatch):
         permutation_twirl_deviation(9)
 
 
+def test_build_choi_rejects_spins_outside_the_registers():
+    # an output spin of the wrong parity, and an input spin beyond 2 qubits
+    coeffs = coefficients_for(conjectured_optimal_map(2, 3))
+    for triple, text in (
+        ((HalfInt(2), HalfInt(0), HalfInt(3)), "j=1, l=0, J=3/2"),
+        ((HalfInt(3), HalfInt(7), HalfInt(4)), "j=3/2, l=7/2, J=2"),
+    ):
+        weights = {**coeffs.weights, triple: Fraction(1, 4)}
+        with pytest.raises(ValueError, match=f"no Schur block for \\({text}\\) in 3\\+2 qubits"):
+            build_choi(ChannelCoeffs(2, 3, weights))
+
+
 def test_hermitian_check_sees_one_asymmetric_entry(monkeypatch):
     # one entry in a far tile of a 256 x 256 operator breaks the symmetry;
     # both indices have popcount 2, so the positivity bound is unaffected

@@ -10,6 +10,7 @@ from numpy.testing import assert_allclose
 
 from superbroadcast.su2core import (
     HalfInt,
+    _is_spin_of,
     cg,
     cg_square,
     coupled_range,
@@ -84,6 +85,17 @@ def test_multiplicity_known_values():
     assert multiplicity(6, 3) == 1
     # spin-0 multiplicities of even registers are the Catalan numbers
     assert [multiplicity(size, 0) for size in (2, 4, 6, 8)] == [1, 2, 5, 14]
+
+
+
+def test_is_spin_of_is_membership_in_spin_range():
+    for n in range(1, 9):
+        spins = {s.doubled for s in spin_range(n)}
+        for d in range(-3, n + 4):
+            assert _is_spin_of(n, d) == (d in spins)
+            if not _is_spin_of(n, d):
+                with pytest.raises(ValueError, match="is not a spin of"):
+                    multiplicity(n, HalfInt(d))
 
 
 def test_multiplicity_domain_errors():
