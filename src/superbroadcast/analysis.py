@@ -255,8 +255,9 @@ class BlochCurve:
     """Vectorized ``r'(r)`` and ``p(r)`` evaluator for one channel.
 
     Takes an extremal map or the coefficients of any convex mixture; a
-    weighted ``J`` that cannot couple its ``j`` and ``l`` raises ValueError.
-    Precomputes the coefficient that multiplies each input weight
+    weighted ``J`` that cannot couple its ``j`` and ``l`` raises ValueError,
+    and a sector prefactor ``s d_j d_l / M`` past the float range raises
+    OverflowError.  Precomputes the coefficient that multiplies each input weight
     ``w(l, n)``; evaluating the curve is then a single weighted power sum.
     Its slope at zero, ``p(0) = -2/(3 M 2^N) sum s d_j d_l (2J+1) sigma``
     with ``sigma = J(J+1) - j(j+1) - l(l+1)``, is summed exactly over the
@@ -282,6 +283,9 @@ class BlochCurve:
             d_j, d_l = multiplicity(m_out, j), multiplicity(n_in, l)
             # s d_j is exact, (2l+1)/(2J+1) for an extremal map
             prefactor = float(s * d_j) * d_l / m_out
+            if not math.isfinite(prefactor):
+                sector = f"sector (j={j}, l={l}, J={J})"
+                raise OverflowError(f"{sector} overflows a float at N={n_in}, M={m_out}")
             coeff_parts.append(prefactor * _polarization(l.doubled, j.doubled, J.doubled))
             exp_parts.append(np.arange((n_in + l.doubled) // 2, (n_in - l.doubled) // 2 - 1, -1))
             top, bottom = s.as_integer_ratio()

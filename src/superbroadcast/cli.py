@@ -278,7 +278,7 @@ def _parser() -> argparse.ArgumentParser:
     p = add("threshold", "purity threshold r*(N, M)")
     p.add_argument("--n", dest="n_in", type=int, required=True)
     p.add_argument("--m", dest="m_out", type=int, required=True)
-    p.add_argument("--tol", type=float, help="bisection tolerance")
+    p.add_argument("--tol", type=float, help="largest bracket width around r*")
 
     p = add("mstar", "largest output count with p(0) > 1")
     p.add_argument("--n", dest="n_in", type=int, required=True)
@@ -296,7 +296,7 @@ def _parser() -> argparse.ArgumentParser:
 
     p = add("figure3", "threshold gaps 1 - r* versus N")
     p.add_argument("--n-range", dest="n_range", type=_parse_range, metavar="A..B")
-    p.add_argument("--tol", type=float, help="bisection tolerance")
+    p.add_argument("--tol", type=float, help="largest bracket width around r*")
 
     p = add("verify", "dense checks of the closed forms")
     p.add_argument("--n", dest="n_in", type=int, required=True)

@@ -6,9 +6,10 @@ broadcasting channel exceeds 1 only below some input purity ``r*(N, M)``
 with ``F_N`` free of ``M``, so a pair superbroadcasts iff ``(M+2) K_N > M``,
 decided exactly for ``N <= 5`` and certain from ``N = 6`` (see
 :func:`r_star`), and the largest output count ``M*(N)`` has a closed form.
-Every threshold bisects the exact bracket ``[0, 1]`` on ``F_N`` itself, in
-its O(N) binomial form, against the ratio ``M/(M+2)`` that carries ``M``;
-no curve or map is built.  Power laws fit ``1 - r*`` at large ``N``.
+Every threshold is the dyadic cell of ``[0, 1]`` where ``F_N(r)/r``, in
+its O(N) binomial form, crosses the ratio ``M/(M+2)`` that carries ``M``,
+found by grid-rounded secants from ``r = 1``; no curve or map is built.
+Power laws fit ``1 - r*`` at large ``N``.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from typing import Iterable, NamedTuple, Optional
 
 import numpy as np
 
-from .analysis import _f_n, _zero_slope
+from .analysis import _binomial_coefficients, _f_n, _zero_slope
 
 __all__ = [
     "GRID_STEPS",
@@ -48,7 +49,7 @@ class ThresholdResult:
 
     ``r_star`` is ``None`` when the pair admits no superbroadcasting,
     ``(M+2) K_N <= M`` (see :func:`r_star`).  ``bracket_width`` is the width of the
-    final bisection bracket around the reported threshold.
+    grid cell around the reported threshold, a power of 2.
     """
 
     n_in: int
@@ -98,14 +99,23 @@ def r_star(n_in: int, m_out: int, tol: float = 1e-6) -> ThresholdResult:
     one returns before ``F_N`` is evaluated.  From ``N = 6`` on ``K_N > 1``
     and every pair is present.  A present pair has ``p(0) > 1`` and
     ``p(1) = N(M+2)/(M(N+2)) < 1``, so ``[0, 1]`` brackets the root of
-    ``F_N(r)/r = M/(M+2)``.  Bisection tests ``F_N(r) >= ratio * r`` with
-    the correctly rounded ``ratio = M/(M+2)``, each point in O(sqrt N) from
-    the binomial form of ``F_N`` (O(N) memory per ``N``), and stops once the
-    bracket is no wider than ``tol`` and ``1/GRID_STEPS``: an absolute bracket,
-    so at the default ``tol`` the gap ``1 - r*(N, N+1) ~ 2/N^2`` goes
-    unresolved from ``N`` about 1400 on (ROADMAP.md item 1).  This relies on
-    ``F_N(r)/r`` falling monotonically in ``r``, so that ``p = 1`` has a
-    single crossing.  ``test_f_n_is_concave_exactly`` proves it for every
+    ``F_N(r)/r = M/(M+2)``.  The result is the cell of the dyadic grid of
+    width ``2^-k``, the largest no wider than ``tol`` and ``1/GRID_STEPS``,
+    whose left end passes the float test ``F_N(r) >= ratio * r`` (correctly
+    rounded ``ratio = M/(M+2)``) or is 0 and whose right end fails it or is
+    1: an absolute bracket, so at the default ``tol`` the gap
+    ``1 - r*(N, N+1) ~ 2/N^2`` goes unresolved from ``N`` about 1400 on
+    (ROADMAP.md item 1).  Where the test is monotone along the grid that
+    cell is unique, so it is the one ``k`` bisection steps from ``[0, 1]``
+    end on, bit for bit.  It is found in a few O(sqrt N) points of the
+    binomial form of ``F_N`` (O(N) memory per ``N``): secants of
+    ``F_N(r)/r - ratio``, the first the tangent at ``r = 1`` read from the
+    binomial coefficients, each rounded to the grid and kept strictly
+    inside the bracket, with the bracket's midpoint where a secant leaves
+    it, so every point moves one end.  This relies on ``F_N(r)/r`` falling
+    monotonically in ``r``, so that ``p = 1`` has a single crossing and the
+    float test flips only within rounding of it, far inside one cell.
+    ``test_f_n_is_concave_exactly`` proves the fall for every
     ``N <= 202``, which covers the CLI's defaults and the benchmark: it takes
     ``F_N``'s Bernstein coefficients on ``r in [0, 1]`` in exact rationals
     and finds every second difference negative but the first, which is 0,
@@ -121,14 +131,29 @@ def r_star(n_in: int, m_out: int, tol: float = 1e-6) -> ThresholdResult:
     if bound is not None and m_out > bound:
         return ThresholdResult(n_in, m_out, None, 0.0)
     ratio = m_out / (m_out + 2)
-    lo, hi = 0.0, 1.0
-    while hi - lo > min(tol, 1.0 / GRID_STEPS):
-        mid = 0.5 * (lo + hi)
-        if _f_n(n_in, mid) >= ratio * mid:
-            lo = mid
+    width = 1.0
+    while width > min(tol, 1.0 / GRID_STEPS):
+        width *= 0.5
+    # the bracket is [lo, hi] * width: lo is 0 or passes, hi is 1 or fails
+    lo, hi = 0, round(1.0 / width)
+    # the first proposal is the tangent of h = F_N(r)/r - ratio at r = 1, from
+    # F_N(1) = b_N and F_N'(1) = N (b_N - b_(N-1))/2; unlike F_N - ratio*r,
+    # h has a simple root even where h(0) = K_N - ratio is small
+    b = _binomial_coefficients(n_in)
+    x0, h0 = 1.0, float(b[-1]) - ratio
+    x = x0 - h0 / (n_in * float(b[-1] - b[-2]) / 2 - float(b[-1]))
+    while hi - lo > 1:
+        if lo * width < x < hi * width:
+            i = min(max(round(x / width), lo + 1), hi - 1)
         else:
-            hi = mid
-    return ThresholdResult(n_in, m_out, 0.5 * (lo + hi), hi - lo)
+            i = (lo + hi) // 2
+        r = i * width
+        f = _f_n(n_in, r)
+        lo, hi = (i, hi) if f >= ratio * r else (lo, i)
+        h = f / r - ratio
+        x = r - h * (r - x0) / (h - h0) if h != h0 else math.nan
+        x0, h0 = r, h
+    return ThresholdResult(n_in, m_out, (lo + 0.5) * width, width)
 
 
 def _exact_m_star(n_in: int) -> Optional[int]:
@@ -171,11 +196,11 @@ def limiting_threshold(n_in: int, tol: float = 1e-6) -> float:
     ``M = low -> 2 low`` equals its increment: the limit is
     ``b + (b - a)`` for ``a = r*(N, low)``, ``b = r*(N, 2 low)``, with
     ``low = 1024`` below ``N = 1024`` and ``low = 2N`` from there.  Both
-    rungs bisect ``F_N`` (see :func:`r_star`), so ``N = 10^5`` takes well
-    under a second; the result inherits their ``tol``-limited absolute
-    brackets (at the default ``tol``, ``1 - limiting_threshold(10**6)`` is
-    28% low; ROADMAP.md item 1).  Raises for ``K_N <= 1`` (``N <= 5``),
-    where ``p(0) -> K_N`` leaves no limit.
+    rungs are grid cells of ``F_N``'s crossing (see :func:`r_star`), so
+    ``N = 10^5`` takes well under a second; the result inherits their
+    ``tol``-limited absolute brackets (at the default ``tol``,
+    ``1 - limiting_threshold(10**6)`` is 28% low; ROADMAP.md item 1).
+    Raises for ``K_N <= 1`` (``N <= 5``), where ``p(0) -> K_N`` leaves no limit.
     """
     if n_in <= _LAST_BOUNDED_N:
         k = _zero_slope(n_in)
@@ -202,10 +227,10 @@ def asymptotic_fit(
     ``curve="adjacent"`` follows ``r*(N, N+1)``.  ``curve="maximal"``
     follows ``r*(N, M*(N))``; ``M*`` is unbounded at every ``N`` of the
     fit, so that is the ``M -> oo`` limit of ``r*``, obtained by geometric
-    extrapolation over one doubling of ``M``.  Both bisect ``F_N`` (see
-    :func:`r_star`).  Requires all ``N >= 10`` (the asymptotic
-    regime), where every pair superbroadcasts, and every gap ``1 - r*``
-    at least ``100 * tol``, so that the bisection resolves it to 1%.
+    extrapolation over one doubling of ``M``.  Both read ``r*`` from its
+    grid cell (see :func:`r_star`).  Requires all ``N >= 10`` (the
+    asymptotic regime), where every pair superbroadcasts, and every gap
+    ``1 - r*`` at least ``100 * tol``, so that the cell resolves it to 1%.
     """
     if curve not in ("adjacent", "maximal"):
         raise ValueError(f"unknown curve selector {curve!r}")

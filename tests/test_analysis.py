@@ -561,6 +561,15 @@ def test_uncoupled_total_spin_is_rejected(coupled):
         single_copy_convex(coeffs, 0.5)
 
 
+def test_overflowing_sector_prefactor_raises():
+    # at N = 1034 the float prefactor s d_j d_l / M of a small-M map passes
+    # 1.8e308; inf times the zero n = 0 moment was a silent nan
+    with pytest.raises(OverflowError, match=r"sector \(j=1, l=13, J=12\) .* N=1034, M=2"):
+        BlochCurve(conjectured_optimal_map(1034, 2))
+    with pytest.raises(OverflowError, match="N=1034, M=40"):
+        BlochCurve(conjectured_optimal_map(1034, 40))
+
+
 def test_numpy_integer_spin_labels():
     assert input_weights(4, 0.5).weight(np.int64(1), 0) == input_weights(4, 0.5).weight(1, 0)
     emap = conjectured_optimal_map(4, 5)

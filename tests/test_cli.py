@@ -196,6 +196,7 @@ def test_cli_scaling_prints_p_at_zero_correctly_rounded():
 # numbers, or 2 with one clean error line.
 CORNERS = [
     ("scaling --n 1024 --m 2 --steps 2", 0),
+    ("scaling --n 1034 --m 2 --steps 2", 2),
     ("scaling --n 1040 --m 2 --steps 2", 2),
     ("threshold --n 100000 --m 100001", 0),
     ("mstar --n 100000", 0),

@@ -6,6 +6,8 @@ from math import comb, lcm
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from superbroadcast import analysis, thresholds
 from superbroadcast.analysis import (
@@ -307,6 +309,10 @@ def test_m_star_answers_unbounded_inputs_without_walking(monkeypatch):
     assert not r_star(3, 10**6).exists
 
 
+# bisection halves [0, 1] down to min(tol, 1/GRID_STEPS) in this many steps
+BISECTION_DEPTH = {0.01: 9, 1e-6: 20, 1e-8: 27, 1e-10: 34}
+
+
 def test_r_star_evaluates_f_n_at_scalars_only(monkeypatch):
     calls = []
 
@@ -316,15 +322,92 @@ def test_r_star_evaluates_f_n_at_scalars_only(monkeypatch):
         return _f_n(n, r)
 
     monkeypatch.setattr(thresholds, "_f_n", counted)
-    # the exact bracket [0, 1] halves to 1/512 in 9 steps, then on to tol
-    for tol, evals in ((1e-6, 20), (1e-8, 27), (0.01, 9)):
-        calls.clear()
-        r_star(4, 5, tol=tol)
-        assert len(calls) == evals
+    # never more evaluations than the bisection's one per halving, and few
+    # on average: the tangent at r = 1 and the secants land next to r*
+    default_counts = []
+    for tol, depth in BISECTION_DEPTH.items():
+        for n in range(4, 205):
+            for m in sorted({n + 1, n + 2, n + 3, n + 4, 7, 21, 1024, 2048}):
+                if m <= n:
+                    continue
+                calls.clear()
+                r_star(n, m, tol=tol)
+                assert len(calls) <= depth, (n, m, tol, len(calls))
+                if tol == 1e-6 and n >= 6 and m in (n + 1, n + 2, n + 3, n + 4, 1024, 2048):
+                    default_counts.append(len(calls))
+    assert len(default_counts) == 199 * 6
+    assert np.mean(default_counts) <= 6
     # 4 -> 8 has p(0) < 1 exactly: decided without evaluating F_N
     calls.clear()
     assert not r_star(4, 8).exists
     assert calls == []
+
+
+def _bisection_cells(n, m, depths):
+    """``(midpoint, width)`` of the plain bisection on ``F_N(r) >= ratio * r``
+    from ``[0, 1]`` after each number of halvings in ``depths``.
+
+    This is the loop ``r_star`` ran before its grid-cell search; a deeper
+    run passes through every shallower one, so one run serves all depths.
+    """
+    ratio = m / (m + 2)
+    lo, hi = 0.0, 1.0
+    cells = {}
+    for depth in range(1, max(depths) + 1):
+        mid = 0.5 * (lo + hi)
+        if _f_n(n, mid) >= ratio * mid:
+            lo = mid
+        else:
+            hi = mid
+        if depth in depths:
+            cells[depth] = (0.5 * (lo + hi), hi - lo)
+    return cells
+
+
+def test_r_star_equals_plain_bisection_bit_for_bit():
+    # every N up to 66 (the CLI's defaults and the benchmark's N ~ 64),
+    # every third N above it, and each N around the large-n-thresholds draws
+    large = {c + d for c in (84, 108, 136, 168, 200) for d in range(-2, 3)}
+    ns = sorted({*range(1, 67), *range(67, 205, 3), *large})
+    pairs = [(n, m) for n in ns for m in sorted({n + 1, n + 2, n + 4, 2 * n, 1024, 2048}) if m > n]
+    pairs += [(n, n + 1) for n in (10**3, 10**4, 10**5)]
+    start = time.perf_counter()
+    for n, m in pairs:
+        present = half_spin_scaling_at_zero(n, m) > 1
+        cells = _bisection_cells(n, m, set(BISECTION_DEPTH.values())) if present else None
+        for tol, depth in BISECTION_DEPTH.items():
+            result = r_star(n, m, tol=tol)
+            if not present:
+                assert result.r_star is None, (n, m, tol)
+                continue
+            mid, width = cells[depth]
+            assert result.r_star.hex() == mid.hex(), (n, m, tol)
+            assert result.bracket_width == width, (n, m, tol)
+    assert time.perf_counter() - start < 3.0
+
+
+def _passes(n, m, r):
+    return _f_n(n, r) >= m / (m + 2) * r
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    n=st.integers(1, 400),
+    extra=st.integers(1, 5000),
+    tol=st.floats(1e-10, 0.5),
+)
+def test_r_star_returns_the_sign_change_cell(n, extra, tol):
+    m = n + extra
+    result = r_star(n, m, tol=tol)
+    if result.r_star is None:
+        assert half_spin_scaling_at_zero(n, m) <= 1
+        return
+    width = result.bracket_width
+    assert width <= min(tol, 1 / GRID_STEPS) < 2 * width
+    left, right = result.r_star - width / 2, result.r_star + width / 2
+    assert (left / width).is_integer()
+    assert left == 0.0 or _passes(n, m, left)
+    assert right == 1.0 or not _passes(n, m, right)
 
 
 def test_presence_reads_zero_slope_only_up_to_five(monkeypatch):
