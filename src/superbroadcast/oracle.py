@@ -7,15 +7,14 @@ input states, and reduced by partial traces.  Agreement of the resulting
 marginals with :mod:`superbroadcast.analysis` is the package's primary
 correctness evidence.
 
-:func:`verify_closed_form` reads the dense Choi operator ``S`` a fixed
-number of times, whatever the number of probes: the Hermiticity and
-positivity checks and the covariance check read all of it, the last once
-for its reference and both rotated inputs together; the
-trace-preservation check and the probe marginals read diagonal slices
-(the marginals come from one reduced Choi operator per probed output
-position, contracted with the stack of every probe input).  The
-positivity check eigensolves one band of each mirror pair of charge bands
-when the operator is invariant under the collective pi rotation, as every
+:func:`verify_closed_form` reads all of the dense Choi operator ``S``
+twice, whatever the number of probes: once by one count of its nonzero
+entries plus the gathers of its diagonal blocks of equal charge, which the
+Hermiticity and positivity checks then read alone when the count certifies
+that nothing lies outside them, and once by the covariance contraction.
+The trace-preservation check and the probe marginals read diagonal slices.
+Positivity eigensolves one block of each mirror pair of charge blocks when
+the operator is invariant under the collective pi rotation, as every
 covariant Choi operator is.  Caps are fixed: above ``QUBIT_CAP = 12``
 qubits (8 for the permutation twirl) :class:`SizeCapError` is raised first.
 
@@ -258,7 +257,8 @@ def apply_channel(choi: DenseOperator, rho_in: DenseOperator) -> DenseOperator:
     ``C = (i sigma_y)^{(x) N}`` is the collective spin flip; the contraction
     reproduces ``rho`` itself when ``S`` is the Choi operator of the
     identity channel.  It is :func:`_contract` with one input, so its
-    temporaries total one quarter of the bytes of ``S``.
+    temporaries are the accumulator, ``2 / 4^N`` of the bytes of ``S``, and
+    at most 1 MiB more.
     """
     dim_in = rho_in.shape[0]
     dim_total = choi.shape[0]
@@ -291,18 +291,23 @@ def _contract(choi4: np.ndarray, rho_tilde: np.ndarray) -> np.ndarray:
     ``parts[b]`` holds the real and imaginary parts of every input as the
     ``2k`` columns of one ``(in, 2k)`` matrix, so ``S`` is read once for the
     whole stack and a real ``S`` is never cast to complex.  The sum over
-    ``b`` accumulates ``S[:, b] @ parts[b]`` through one preallocated
-    temporary.  For a real ``S`` the accumulator, real and imaginary columns
-    interleaved, is returned viewed as complex.
+    ``b`` of ``S[x, b] @ parts[b]`` runs over chunks of rows ``x`` through a
+    temporary of at most 1 MiB.  For a real ``S`` the accumulator, real and
+    imaginary columns interleaved, is returned viewed as complex.
     """
     stack = rho_tilde.reshape(-1, *rho_tilde.shape[-2:])
     dim_in = stack.shape[-1]
     parts = np.stack([stack.real, stack.imag], axis=-1)
     parts = parts.transpose(2, 1, 0, 3).reshape(dim_in, dim_in, -1)
-    acc = np.matmul(choi4[:, 0], parts[0])
-    term = np.empty_like(acc)
-    for b in range(1, dim_in):
-        acc += np.matmul(choi4[:, b], parts[b], out=term)
+    dim_out = choi4.shape[0]
+    acc = np.empty((dim_out, choi4.shape[2], parts.shape[-1]), np.result_type(choi4, parts))
+    step = max(1, 2**20 // acc[0].nbytes)
+    term = np.empty_like(acc[:step])
+    for start in range(0, dim_out, step):
+        rows, chunk = choi4[start : start + step], acc[start : start + step]
+        np.matmul(rows[:, 0], parts[0], out=chunk)
+        for b in range(1, dim_in):
+            chunk += np.matmul(rows[:, b], parts[b], out=term[: len(chunk)])
     if np.iscomplexobj(acc):
         out = acc[..., 0::2] + 1j * acc[..., 1::2]
     else:
@@ -326,22 +331,20 @@ def _reduced_choi(choi: DenseOperator, n_in: int, m_out: int, which: int) -> np.
     return np.einsum("usvbutva->sbta", eight)
 
 
-def _rotate_rows(u: np.ndarray, rho: DenseOperator) -> DenseOperator:
-    """``u^{(x) M} @ rho``, one row qubit at a time (O(M 4^M))."""
-    dim, cols = rho.shape
-    out = rho
-    before = 1
-    while before < dim:
-        after = dim // (2 * before)
-        out = np.matmul(u, out.reshape(before, 2, after * cols)).reshape(dim, cols)
-        before *= 2
-    return out
-
-
 def _rotate(u: np.ndarray, rho: DenseOperator) -> DenseOperator:
-    """``U rho U^H`` with ``U = u^{(x) M}``, without building ``U``: the
-    column side is the row rotation of ``(U rho)^H``."""
-    return _rotate_rows(u, _rotate_rows(u, rho).conj().T).conj().T
+    """``U rho U^H`` for ``U = u^{(x) M} = A (x) B``, ``A = u^{(x) ceil(M/2)}``,
+    ``B = u^{(x) floor(M/2)}``: on each side one product with ``A`` and one
+    with ``B`` (columns take ``B^H`` and ``conj(A)``), never transposing
+    the state."""
+    dim = rho.shape[0]
+    m_out = dim.bit_length() - 1
+    big = kron_power(u, m_out - m_out // 2)
+    small = kron_power(u, m_out // 2) if m_out > 1 else np.ones((1, 1))
+    a, b = big.shape[0], small.shape[0]
+    # each step replaces the last, so at most two states are alive at once
+    out = np.matmul(small, (big @ rho.reshape(a, -1)).reshape(a, b, dim))
+    out = out.reshape(dim * a, b) @ small.conj().T
+    return np.matmul(big.conj(), out.reshape(dim, a, b)).reshape(dim, dim)
 
 
 # ---------------------------------------------------------------------------
@@ -442,58 +445,15 @@ class VerificationReport:
         raise KeyError(name)
 
 
-def _skew_deviation(choi: DenseOperator) -> float:
-    """``max |S - S^H|``, compared in 64 x 64 tiles so the transposed reads
-    stay in cache (a whole-matrix ``S - S^H`` strides through memory)."""
-    dim, tile = choi.shape[0], 64
-    worst = 0.0
-    for i in range(0, dim, tile):
-        for k in range(i, dim, tile):
-            upper = choi[i : i + tile, k : k + tile]
-            lower = choi[k : k + tile, i : i + tile]
-            worst = np.maximum(worst, np.max(np.abs(upper - lower.conj().T)))
-    return float(worst)
-
-
-def _charge_band(
-    choi: DenseOperator, inside: np.ndarray
-) -> tuple[np.ndarray, float, np.ndarray]:
-    """Block of the charge band ``inside``, its largest off-block absolute
-    row sum and its off-block absolute column sums.
-
-    The band's rows are gathered once: the row sums are one matrix-vector
-    product with the outside mask, the column sums one reduction with the
-    band's own entries zeroed afterwards.
-    """
-    members = np.flatnonzero(inside)
-    rows = choi[members]
-    block = rows[:, members]
-    # rows is a private gather, so its magnitude can overwrite it
-    magnitude = np.abs(rows, out=rows)
-    cols = magnitude.sum(axis=0)
-    cols[members] = 0.0
-    return block, float((magnitude @ (~inside).astype(float)).max()), cols
-
-
-def _positivity_deviation(choi: DenseOperator) -> float:
-    """Upper bound on ``max(0, -lambda_min)`` from blocks of equal charge.
+def _charge_blocks(choi: DenseOperator) -> tuple[list[np.ndarray], Optional[np.ndarray]]:
+    """The ``L+1`` diagonal blocks of equal charge, and the rest of ``S``.
 
     A covariant Choi operator conserves total ``J_z``, which on joint basis
     states is fixed by the popcount of the index, so it is block diagonal
-    in the blocks of equal popcount.  By Weyl's inequality the smallest
-    eigenvalue is at least the smallest block eigenvalue minus the spectral
-    norm of the off-block part, and that norm is at most its largest
-    absolute row or column sum.  The bound is exact when the off-block part
-    vanishes.
-
-    Bands are eigensolved in mirror pairs ``(k, L-k)``.  Complementing every
-    bit, the collective pi rotation ``X^{(x) L}``, maps band ``k`` onto band
-    ``L-k`` with rows and columns reversed, and leaves a covariant Choi
-    operator unchanged.  When band ``L-k`` is exactly band ``k`` reversed,
-    the lower triangle ``eigvalsh`` reads from band ``k`` is band ``L-k``'s
-    upper triangle reversed, so band ``k``'s eigenvalues are exactly those
-    of band ``L-k`` read from that triangle, and the second eigensolve is
-    skipped.  Any other operator, faulted or not covariant, gets both.
+    in the blocks of equal popcount.  Each block is gathered once.  The rest
+    is ``None`` when ``S`` has no nonzero entry outside the blocks, which
+    one exact count decides: its nonzero entries number exactly those of
+    the blocks.  Otherwise it is ``S`` with the blocks zeroed.
     """
     dim = choi.shape[0]
     n_qubits = dim.bit_length() - 1
@@ -501,21 +461,50 @@ def _positivity_deviation(choi: DenseOperator) -> float:
     charge = np.zeros(dim, dtype=int)
     for bit in range(n_qubits):
         charge += (index >> bit) & 1
+    bands = [np.flatnonzero(charge == value) for value in range(n_qubits + 1)]
+    blocks = [choi[np.ix_(band, band)] for band in bands]
+    if np.count_nonzero(choi) == sum(np.count_nonzero(block) for block in blocks):
+        return blocks, None
+    rest = choi.copy()
+    for band in bands:
+        rest[np.ix_(band, band)] = 0.0
+    return blocks, rest
+
+
+def _skew_deviation(blocks: list[np.ndarray], rest: Optional[np.ndarray]) -> float:
+    """``max |S - S^H|`` from :func:`_charge_blocks`: an entry and its
+    transpose share a block or both lie in the rest, so this is exact."""
+    parts = blocks if rest is None else [*blocks, rest]
+    return float(np.max([np.max(np.abs(part - part.conj().T)) for part in parts]))
+
+
+def _positivity_deviation(blocks: list[np.ndarray], rest: Optional[np.ndarray]) -> float:
+    """Upper bound on ``max(0, -lambda_min)`` from :func:`_charge_blocks`.
+
+    By Weyl's inequality the smallest eigenvalue is at least the smallest
+    block eigenvalue minus the spectral norm of the rest, and that norm is
+    at most its largest absolute row or column sum.  The bound is exact
+    when the rest vanishes.
+
+    Blocks are eigensolved in mirror pairs ``(k, L-k)``.  Complementing
+    every bit, the collective pi rotation ``X^{(x) L}``, maps block ``k``
+    onto block ``L-k`` reversed and leaves a covariant Choi operator
+    unchanged.  When block ``L-k`` is exactly block ``k`` reversed, the two
+    are similar, so the second eigensolve is skipped; any other operator,
+    faulted or not covariant, gets both.
+    """
+    n_qubits = len(blocks) - 1
     lowest = np.inf
-    off_rows = 0.0
-    off_cols = np.zeros(dim)
     for value in range(n_qubits // 2 + 1):
-        pair = []
-        for band in sorted({value, n_qubits - value}):
-            block, row_max, cols = _charge_band(choi, charge == band)
-            pair.append(block)
-            off_rows = max(off_rows, row_max)
-            off_cols += cols
-        near, far = pair[0], pair[-1]
+        near, far = blocks[value], blocks[n_qubits - value]
         lowest = min(lowest, float(np.linalg.eigvalsh(near)[0]))
         if far is not near and not np.array_equal(far, near[::-1, ::-1]):
             lowest = min(lowest, float(np.linalg.eigvalsh(far)[0]))
-    return max(0.0, max(off_rows, float(off_cols.max())) - lowest)
+    off_block = 0.0
+    if rest is not None:
+        magnitude = np.abs(rest)
+        off_block = float(max(magnitude.sum(axis=0).max(), magnitude.sum(axis=1).max()))
+    return max(0.0, off_block - lowest)
 
 
 def verify_closed_form(
@@ -535,14 +524,17 @@ def verify_closed_form(
     output positions.  Finally conjugates by seeded Haar-random collective
     rotations to confirm covariance.
 
-    Only the Hermiticity, positivity and covariance checks read all of the
-    Choi operator, the covariance check once: its reference output and both
-    rotated inputs go through one stacked contraction.  The probe marginals
+    The Choi operator ``S`` is read whole twice: :func:`_charge_blocks`
+    gathers its charge blocks once for the Hermiticity and positivity
+    checks, which read nothing else when its nonzero count certifies a zero
+    rest, and the covariance check contracts its reference and both rotated
+    inputs together, after the blocks are released.  The probe marginals
     at output positions ``0``, ``M//2`` and ``M-1`` come from one reduced
     Choi operator per position (the trace over the other outputs done
     first), each contracted with the stack of all probe inputs; their
     traces and Bloch components are ``Re tr(rho sigma)`` in one ``einsum``.
-    The output side of the covariance check is rotated one qubit at a time.
+    The output side of the covariance check is rotated by the two halves of
+    the output register in turn.
 
     ``coefficients`` overrides the map's own weights; only the tests and the
     ``dense-oracle`` benchmark set it, to a corrupted set whose deviations
@@ -561,11 +553,13 @@ def verify_closed_form(
         coefficients = coefficients_for(emap)
     choi = build_choi(coefficients)
 
-    hermitian_dev = _skew_deviation(choi)
+    blocks, rest = _charge_blocks(choi)
+    hermitian_dev = _skew_deviation(blocks, rest)
+    psd_dev = _positivity_deviation(blocks, rest)
+    del blocks, rest
     choi4 = choi.reshape(2**m_out, 2**n_in, 2**m_out, 2**n_in)
     trace_out = np.einsum("aiaj->ij", choi4)
     tp_dev = float(np.max(np.abs(trace_out - np.eye(2**n_in))))
-    psd_dev = _positivity_deviation(choi)
 
     # Probe marginals: each position's reduced Choi operator is formed once
     # and contracted with the stack of every probe input.  The spin flip is

@@ -17,10 +17,12 @@ from superbroadcast.channels import (
 )
 from superbroadcast.oracle import (
     SizeCapError,
+    _charge_blocks,
     _contract,
     _positivity_deviation,
     _reduced_choi,
     _rotate,
+    _skew_deviation,
     _spin_flipped,
     apply_channel,
     build_choi,
@@ -179,7 +181,7 @@ def test_choi_trace_preserving_and_positive_small():
         lowest = np.linalg.eigvalsh(choi)[0]
         assert lowest > -1e-10
         # the charge-block bound agrees with the full spectrum
-        assert abs(_positivity_deviation(choi) - max(0.0, -lowest)) < 1e-12
+        assert abs(_positivity_deviation(*_charge_blocks(choi)) - max(0.0, -lowest)) < 1e-12
         assert np.max(np.abs(choi - _projector_sum(coeffs))) < 1e-12
 
 
@@ -194,7 +196,7 @@ def test_positivity_bound_sees_off_block_negativity(monkeypatch):
     broken[i, k] += epsilon
     broken[k, i] += epsilon
     assert np.linalg.eigvalsh(broken)[0] < -1e-10
-    assert _positivity_deviation(broken) >= -np.linalg.eigvalsh(broken)[0]
+    assert _positivity_deviation(*_charge_blocks(broken)) >= -np.linalg.eigvalsh(broken)[0]
 
     monkeypatch.setattr(oracle, "build_choi", lambda coeffs: broken)
     report = verify_closed_form(2, 3, emap)
@@ -214,8 +216,12 @@ def _count_eigvalsh(monkeypatch):
     return calls
 
 
+def _popcounts(dim):
+    return np.array([bin(i).count("1") for i in range(dim)])
+
+
 def _charge_bands(n_qubits):
-    charge = np.array([bin(i).count("1") for i in range(2**n_qubits)])
+    charge = _popcounts(2**n_qubits)
     return [np.flatnonzero(charge == value) for value in range(n_qubits + 1)]
 
 
@@ -232,7 +238,7 @@ def test_positivity_eigensolves_one_band_per_mirror_pair(monkeypatch):
     for choi in operators:
         n_qubits = choi.shape[0].bit_length() - 1
         calls.clear()
-        _positivity_deviation(choi)
+        _positivity_deviation(*_charge_blocks(choi))
         assert len(calls) == n_qubits // 2 + 1
     calls.clear()
     assert verify_closed_form(2, 5, conjectured_optimal_map(2, 5)).ok
@@ -251,7 +257,7 @@ def test_positivity_mirror_falls_back_on_a_changed_band(monkeypatch):
         row, col = bands[value][-1], bands[value][0]
         broken[row, col] += 1e-9
         calls.clear()
-        _positivity_deviation(broken)
+        _positivity_deviation(*_charge_blocks(broken))
         assert len(calls) == n_qubits // 2 + 1 + count
     assert len(calls) == n_qubits + 1
 
@@ -272,12 +278,80 @@ def test_positivity_bound_sees_each_broken_band():
             np.linalg.eigvalsh(broken[np.ix_(band, band)])[0]
             for band in _charge_bands(n_qubits)
         )
-        bound = _positivity_deviation(broken)
+        bound = _positivity_deviation(*_charge_blocks(broken))
         assert bound > 1e-10
         # the off-block part is zero, so the bound is tight and the full
         # eigensolve agrees only up to its rounding
         assert bound >= -np.linalg.eigvalsh(broken)[0] - 1e-15
         assert bound == max(0.0, -lowest)
+
+
+def _dense_weyl_bound(choi):
+    # smallest eigenvalue of every charge block, less the largest absolute
+    # row or column sum of everything outside the blocks; a block above L/2
+    # that is exactly its mirror block reversed has the same spectrum, and
+    # is not eigensolved again, since the two solves differ in the last bits
+    n_qubits = choi.shape[0].bit_length() - 1
+    blocks = [choi[np.ix_(band, band)] for band in _charge_bands(n_qubits)]
+    lowest = min(
+        np.linalg.eigvalsh(block)[0]
+        for k, block in enumerate(blocks)
+        if k <= n_qubits // 2 or not np.array_equal(block, blocks[n_qubits - k][::-1, ::-1])
+    )
+    charge = _popcounts(2**n_qubits)
+    outside = np.abs(np.where(charge[:, None] == charge[None, :], 0.0, choi))
+    return max(0.0, max(outside.sum(axis=0).max(), outside.sum(axis=1).max()) - lowest)
+
+
+def _charge_block_cases():
+    # covariant operators: optimal maps, every extremal 3->4 and 2->5 map and
+    # a faulted map; each as built (real) and with Hermitian phases on its
+    # entries (complex, with the same zeros)
+    rng = np.random.default_rng(43)
+    maps = [conjectured_optimal_map(n, m) for n, m in [(1, 1), (2, 3), (3, 4), (2, 5), (4, 5)]]
+    maps += enumerate_extremal(3, 4) + enumerate_extremal(2, 5)
+    coefficient_sets = [coefficients_for(emap) for emap in maps]
+    coefficient_sets.append(_faulted(coefficients_for(conjectured_optimal_map(3, 4))))
+    for coeffs in coefficient_sets:
+        choi = build_choi(coeffs)
+        angles = rng.uniform(-np.pi, np.pi, size=choi.shape)
+        yield choi
+        yield choi * np.exp(1j * (angles - angles.T))
+
+
+def test_charge_blocks_certify_a_zero_rest():
+    # the exact nonzero count finds no rest on any covariant operator, and a
+    # single subnormal entry between two charges is enough to produce one
+    for choi in _charge_block_cases():
+        blocks, rest = _charge_blocks(choi)
+        assert rest is None
+        assert _skew_deviation(blocks, rest) == np.max(np.abs(choi - choi.conj().T))
+        assert _positivity_deviation(blocks, rest) == _dense_weyl_bound(choi)
+
+        broken = choi.copy()
+        broken[0b1, 0b11] = 5e-324  # popcounts 1 and 2
+        blocks, rest = _charge_blocks(broken)
+        assert rest is not None
+        assert np.flatnonzero(rest).tolist() == [0b1 * broken.shape[0] + 0b11]
+        assert _skew_deviation(blocks, rest) == np.max(np.abs(broken - broken.conj().T))
+        bound = _positivity_deviation(blocks, rest)
+        assert abs(bound - _dense_weyl_bound(broken)) <= 1e-15
+
+
+def test_charge_blocks_bound_a_dense_off_block_part():
+    # Hermitian noise on every entry, real and complex: the rest is S with
+    # its blocks zeroed, and the bound is the dense one up to summation order
+    rng = np.random.default_rng(47)
+    choi = build_choi(coefficients_for(conjectured_optimal_map(2, 5)))
+    noise = rng.normal(size=choi.shape) * 1e-6
+    for broken in (choi + noise + noise.T, choi + 1j * (noise - noise.T)):
+        blocks, rest = _charge_blocks(broken)
+        charge = _popcounts(broken.shape[0])
+        inside = charge[:, None] == charge[None, :]
+        assert np.array_equal(rest, np.where(inside, 0.0, broken))
+        assert _skew_deviation(blocks, rest) == np.max(np.abs(broken - broken.conj().T))
+        assert abs(_positivity_deviation(blocks, rest) - _dense_weyl_bound(broken)) <= 1e-15
+        assert _positivity_deviation(blocks, rest) >= -np.linalg.eigvalsh(broken)[0] - 1e-15
 
 
 def test_probe_inputs_flip_one_copy_before_the_power():
@@ -367,8 +441,9 @@ def test_build_choi_rejects_spins_outside_the_registers():
 
 
 def test_hermitian_check_sees_one_asymmetric_entry(monkeypatch):
-    # one entry in a far tile of a 256 x 256 operator breaks the symmetry;
-    # both indices have popcount 2, so the positivity bound is unaffected
+    # one entry far from the diagonal of a 256 x 256 operator breaks the
+    # symmetry; both indices have popcount 2, so it lies in a charge block
+    # and the positivity bound is unaffected
     emap = conjectured_optimal_map(3, 5)
     broken = build_choi(coefficients_for(emap))
     broken[0b00000011, 0b11000000] += 1e-9
@@ -407,7 +482,7 @@ def _random_state(rng, dim):
 
 def test_qubitwise_rotation_matches_dense_product():
     rng = np.random.default_rng(23)
-    for m in range(1, 10):
+    for m in range(1, 11):
         rho = _random_state(rng, 2**m)
         u = random_su2(rng)
         dense = kron_power(u, m)
