@@ -28,11 +28,11 @@ Moments are the exact rational ``alpha 2n`` rounded once to float, except
 in anti-stretched sectors ``J = |j - l|`` of size ``2j + 2l >=
 FAST_KERNEL_MIN_SIZE``, where a log-factorial kernel stays because the
 reference digests in ``perfbench/golden.json`` pin its last-digit rounding
-of the figure-2 table.  It works in Hankel form and repeats the per-entry
-operation order of the index-gather form those digests were taken with,
-so it keeps every bit in about one matrix of memory.  The dense-matrix
-oracle in :mod:`superbroadcast.oracle` checks both against explicit
-output states.
+of the figure-2 table.  It builds only each square's nonzero band, with
+the per-entry operation order of the index-gather form those digests were
+taken with, so it keeps every bit in about one matrix of memory.  The
+dense-matrix oracle in :mod:`superbroadcast.oracle` checks both against
+explicit output states.
 
 ``r'`` is linear in the channel weights, so one :class:`BlochCurve` serves
 extremal maps (through their exact weights) and convex mixtures alike.
@@ -47,6 +47,7 @@ binomial form of :func:`_f_n` instead of on a curve.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -54,11 +55,11 @@ from functools import lru_cache
 from typing import Optional, Union
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 from .channels import (
     ChannelCoeffs,
     ExtremalMap,
+    _balanced_product,
     coefficients_for,
     conjectured_optimal_map,
     extremal_count,
@@ -187,11 +188,13 @@ def _moments_fast(dl: int, dj: int, dJ: int) -> tuple[np.ndarray, np.ndarray]:
     Clebsch-Gordan square collapses to a single ratio of factorials.  With
     row ``a = n + l`` and column ``b = m + j``, its log is a scalar, plus
     two vectors along the larger spin, minus two along the smaller, minus
-    two terms that depend on ``a + b`` only (Hankel: strided views of one
-    padded table).  Each entry takes the operations of the index-gather
-    form in ``tests/test_moments_kernel.py`` in the same order, so the bits
-    pinned by the ``figure2`` digest hold; the one full-size buffer stays
-    C-ordered with its zeros, as numpy's pairwise sums need for them.
+    two in ``k = a + b - small``; it is nonzero only on the band
+    ``0 <= k <= dJ``.  Indexed by (small-side index, ``k``) every operand is
+    a view, so each band entry takes the operations of the index-gather form
+    in ``tests/test_moments_kernel.py`` in the same order and the bits pinned
+    by the ``figure2`` digest hold.  Chunks of at most 1 MiB go through a
+    sheared view into the one C-ordered square, whose zeros off the band
+    numpy's pairwise row sums need.
     """
     if dJ != abs(dj - dl):
         raise ValueError("fast kernel requires the anti-stretched coupling J = |j - l|")
@@ -199,22 +202,22 @@ def _moments_fast(dl: int, dj: int, dJ: int) -> tuple[np.ndarray, np.ndarray]:
     small, big = min(dl, dj), max(dl, dj)
     c = math.log(dJ + 1) + t[small] + t[dJ] - t[big + 1]
     big_side = (c + t[: big + 1]) + t[big::-1]
-    small_up, small_down = t[: small + 1], t[small::-1]
-    if dj >= dl:
-        small_up, small_down = small_up[:, None], small_down[:, None]
-    else:
-        big_side = big_side[:, None]
-    # Last come t[a+b-small] and t[big-a-b]; padding the table with +inf
-    # outside [0, dJ] gives -inf exactly where |dn+dm| > dJ, and exp 0.0.
-    padded = np.full(dl + dj + 1, np.inf)
-    padded[small : big + 1] = t[: dJ + 1]
-    square = np.subtract(big_side, small_up)
-    square -= small_down
-    for hankel in (padded, padded[::-1]):
-        square -= as_strided(hankel, square.shape, hankel.strides * 2, writeable=False)
-    np.exp(square, out=square)
+    # Band row s (small side) at k = a + b - small reads big_side[small - s + k].
+    toeplitz = np.ndarray((small + 1, dJ + 1), float, big_side, small * 8, (-8, 8))
+    up, down = t[: small + 1, None], t[small::-1, None]
+    square = np.zeros((dl + 1, dj + 1))
+    along, across = (dj + 1, 1) if dj >= dl else (1, small + 1)
+    strides = ((along - across) * 8, across * 8)
+    band = np.ndarray(toeplitz.shape, float, square, small * across * 8, strides)
+    step = max(1, (1 << 17) // (dJ + 1))  # chunks of at most 1 MiB
+    for rows in (slice(s, s + step) for s in range(0, small + 1, step)):
+        chunk = np.subtract(toeplitz[rows], up[rows])
+        chunk -= down[rows]
+        chunk -= t[: dJ + 1]
+        chunk -= t[dJ::-1]
+        band[rows] = np.exp(chunk, out=chunk)
     mass = square.sum(axis=1)
-    square *= np.arange(-dj, dj + 1, 2)
+    square *= np.arange(-dj, dj + 1, 2.0)
     pol = square.sum(axis=1)
     # Internal cross-check: each mass must equal (2J+1)/(2l+1) exactly
     # (the trace identity of the coupled projector).
@@ -361,6 +364,7 @@ def single_copy_convex(coeffs: ChannelCoeffs, r: float) -> BlochReport:
     return BlochCurve(coeffs).report(r)
 
 
+@lru_cache(maxsize=64)
 def _zero_slope(n_in: int) -> Fraction:
     """``K_N = lim_{r -> 0} F_N(r)/r``, so that ``p(0) = (M+2)/M * K_N``.
 
@@ -389,7 +393,25 @@ def _zero_slope(n_in: int) -> Fraction:
     if n_in < 1:
         raise ValueError(f"need at least one qubit, got {n_in}")
     c = 2 * n_in + 2 if n_in % 2 else 2 * n_in + 1
-    return Fraction(c * math.comb(n_in, n_in // 2) - 2**n_in, 3 * 2**n_in)
+    return Fraction(c * _central_binomial(n_in) - 2**n_in, 3 * 2**n_in)
+
+
+def _central_binomial(n: int) -> int:
+    """``C(n, n // 2)`` as the product of ``p^e`` over the primes ``p <= n``,
+    with ``e = sum_i (floor(n/p^i) - floor(k/p^i) - floor((n-k)/p^i))`` for
+    ``k = n // 2`` (Legendre); unlike ``math.comb``, fast at ``n = 10^6``."""
+    k = n // 2
+    sieve = bytearray([0, 0]) + bytearray([1]) * (n - 1)
+    for p in range(2, math.isqrt(n) + 1):
+        if sieve[p]:
+            sieve[p * p :: p] = bytes(len(range(p * p, n + 1, p)))
+    factors = [1]
+    for p in itertools.compress(range(n + 1), sieve):
+        e, q = 0, p
+        while q <= n:
+            e, q = e + n // q - k // q - (n - k) // q, q * p
+        factors.append(p**e)
+    return _balanced_product(factors)
 
 
 @lru_cache(maxsize=64)

@@ -128,10 +128,6 @@ def extremal_count(n_in: int, m_out: int) -> int:
     ``sum_{j <= l} (2j+1)`` plus ``(2l+1)`` times the number of ``j > l``;
     with the ``k`` output spins ``2j = p, p+2, ...`` up to ``2l`` (``p`` the
     parity of ``m_out``) the first part is ``k (p + k)``.
-
-    The factors are multiplied in a balanced tree, so each big-integer
-    product joins operands of similar length; one factor at a time would be
-    quadratic in the length of the result.
     """
     parity = m_out % 2
     outs = (m_out - parity) // 2 + 1
@@ -139,6 +135,12 @@ def extremal_count(n_in: int, m_out: int) -> int:
     for l in spin_range(n_in):
         below = max(0, (min(l.doubled, m_out) - parity) // 2 + 1)
         factors.append(below * (parity + below) + (l.doubled + 1) * (outs - below))
+    return _balanced_product(factors)
+
+
+def _balanced_product(factors: list[int]) -> int:
+    """Product of big integers in a balanced tree, whose multiplications join
+    operands of similar length (one at a time is quadratic in the result)."""
     while len(factors) > 1:
         paired = [a * b for a, b in zip(factors[::2], factors[1::2])]
         factors = paired + factors[2 * len(paired):]

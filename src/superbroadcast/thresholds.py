@@ -115,8 +115,8 @@ def r_star(n_in: int, m_out: int, tol: float = 1e-6) -> ThresholdResult:
     it, so every point moves one end.  This relies on ``F_N(r)/r`` falling
     monotonically in ``r``, so that ``p = 1`` has a single crossing and the
     float test flips only within rounding of it, far inside one cell.
-    ``test_f_n_is_concave_exactly`` proves the fall for every
-    ``N <= 202``, which covers the CLI's defaults and the benchmark: it takes
+    ``test_f_n_is_concave_exactly`` proves the fall for ``N <= 202`` (the
+    CLI's defaults and the benchmark) and ``N`` = 1030, 1034, 1100 only: it takes
     ``F_N``'s Bernstein coefficients on ``r in [0, 1]`` in exact rationals
     and finds every second difference negative but the first, which is 0,
     so ``F_N`` is concave with ``F_N(0) = 0`` and ``F_N(r)/r`` is

@@ -1,9 +1,11 @@
-"""The Hankel-form log-factorial kernel keeps every bit of the index-gather one.
+"""The band-form log-factorial kernel keeps every bit of the index-gather one.
 
 ``_index_gather_moments`` below is the earlier body of
 ``analysis._moments_fast`` kept verbatim as the reference: the golden
-``figure2`` digest pins the last bits of its output, so the rewrite must
-repeat its per-entry IEEE operations in the same order.
+``figure2`` digest pins the last bits of its output, so the rewrite, which
+computes only the nonzero band ``|n + m| <= J`` of each square in sheared
+views, must repeat its per-entry IEEE operations in the same order and
+leave exact zeros off the band.
 """
 
 import math
@@ -66,7 +68,9 @@ def test_moments_bits_match_index_gather_kernel(dl):
 def test_curve_coefficient_bits_match_index_gather_kernel(monkeypatch):
     figure2 = [(n, n + 1) for n in range(10, 101, 10)] + [(5, m) for m in range(5, 10)]
     large = [(n, n + k) for n in (62, 136, 202) for k in (1, 2)]
-    maps = [conjectured_optimal_map(n, m) for n, m in figure2 + large]
+    # M < N puts the input spin on the big side of the square (dj < dl)
+    fewer_outputs = [(40, 12), (61, 20), (100, 52)]
+    maps = [conjectured_optimal_map(n, m) for n, m in figure2 + large + fewer_outputs]
     hankel = [BlochCurve(emap)._coeff.tobytes() for emap in maps]
     monkeypatch.setattr(analysis, "_moments_fast", _index_gather_moments)
     gather = [BlochCurve(emap)._coeff.tobytes() for emap in maps]
@@ -84,6 +88,20 @@ def test_moments_peak_memory_is_about_one_matrix():
     finally:
         tracemalloc.stop()
     assert peak <= 2 * (dl + 1) * (dj + 1) * 8
+
+
+@pytest.mark.parametrize("dl, dj", [(24, 10**5), (10**5, 24)])
+def test_moments_peak_memory_is_one_matrix_plus_chunks(dl, dj):
+    # the band is built in chunks of at most 1 MiB, in either orientation
+    dJ = abs(dj - dl)
+    _log_factorials(dl + dj + 2)
+    tracemalloc.start()
+    try:
+        _moments_fast(dl, dj, dJ)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= (dl + 1) * (dj + 1) * 8 + 8 * 2**20
 
 
 def test_corrupted_log_factorials_fail_the_mass_check(monkeypatch):

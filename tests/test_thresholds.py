@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from superbroadcast import analysis, thresholds
 from superbroadcast.analysis import (
     _binomial_coefficients,
+    _central_binomial,
     _f_n,
     _zero_slope,
     half_spin_scaling_at_zero,
@@ -185,6 +186,13 @@ def test_zero_slope_closed_form_at_large_n():
     assert abs(float(exact) / leading - 1) < 1e-5
 
 
+def test_central_binomial_from_prime_exponents_matches_comb():
+    # Legendre's exponents in a balanced product; math.comb is the reference
+    for n in range(2001):
+        assert _central_binomial(n) == comb(n, n // 2), n
+    assert _central_binomial(10**5) == comb(10**5, 10**5 // 2)
+
+
 def _exact_b(n):
     """b_k = (k - N/2) S_|N-2k| for k = 0..N from the S recursion, exactly."""
     s = {n + 2: Fraction(0)}
@@ -220,8 +228,10 @@ def test_f_n_is_concave_exactly():
     # (F_N is odd) and every other one is negative, so F_N is concave on
     # [0, 1], F_N(0) = c_0 = 0 makes F_N(r)/r non-increasing, and p = 1 has
     # a single crossing: a proof for every N up to 202, which covers the
-    # CLI's defaults and every N the large-n-thresholds benchmark draws
-    for n in range(2, 203):
+    # CLI's defaults and every N the large-n-thresholds benchmark draws, and
+    # for the N past it that the README's measured range and the CLI corner
+    # sweep use
+    for n in [*range(2, 203), 1030, 1034, 1100]:
         # the package's float recursion computes the same b_k
         b = [float(x) for x in _exact_b(n)]
         assert np.allclose(b, _binomial_coefficients(n), rtol=0, atol=1e-14)
