@@ -130,13 +130,18 @@ class InputWeights:
         return np.array([self.weight(l, n) for n in projections(l)])
 
     def total(self) -> float:
-        """Multiplicity-weighted sum of all weights; equals 1 (unit trace)."""
-        return float(
-            sum(
-                multiplicity(self.n_in, l) * self.weights_for(l).sum()
-                for l in spin_range(self.n_in)
-            )
-        )
+        """Multiplicity-weighted sum of all weights, exact from the float ``r_+-``
+        by the exponent ``k = N/2 - n`` of ``r_+`` (shared by every sector
+        ``l >= |n|``) and rounded once; equals 1 (unit trace)."""
+        n, cum, running = self.n_in, {}, 0
+        for l in reversed(spin_range(n)):
+            running = cum[l.doubled] = running + multiplicity(n, l)
+        (a, p), (b, q) = (((1.0 + s * self.r) / 2.0).as_integer_ratio() for s in (1, -1))
+        a, b, unit = a * max(p, q) // p, b * max(p, q) // q, max(p, q)  # r_+- = a/unit, b/unit
+        numerator, power = 0, 1  # Horner in r_+, from k = N down
+        for k in range(n, -1, -1):
+            numerator, power = numerator * a + cum[abs(n - 2 * k)] * power, power * b
+        return numerator / unit**n
 
 
 def input_weights(n_in: int, r: float) -> InputWeights:

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+import exact
 from brute_force import enumerate_extremal
 from superbroadcast.analysis import (
     FAST_KERNEL_MIN_SIZE,
@@ -42,9 +43,7 @@ from superbroadcast.su2core import (
     HalfInt,
     cg_square,
     coupled_range,
-    multiplicity,
     projections,
-    spin_range,
 )
 
 
@@ -97,6 +96,14 @@ def test_input_weights_unit_trace():
     for n in range(1, 9):
         for r in (0.0, 0.25, 0.5, 0.75, 1.0):
             assert abs(input_weights(n, r).total() - 1.0) < 1e-12
+
+
+def test_input_weights_total_past_the_float_range():
+    # past N = 1030 a multiplicity exceeds the float range, and single
+    # weights underflow to 0
+    for n in (1100, 2000):
+        for r in (0.0, 0.5, 0.99, 1.0):
+            assert abs(input_weights(n, r).total() - 1.0) < 1e-12, (n, r)
 
 
 def test_single_copy_frozen_values():
@@ -163,23 +170,9 @@ def test_exact_zero_limit_frozen_values():
 
 
 def _exact_p_zero(coeffs):
-    """``-2/(3 M 2^N) sum s d_j d_l (2J+1) sigma`` in Fractions, weights as stored.
-
-    ``sigma = J(J+1) - j(j+1) - l(l+1)``; each multiplicity is
-    ``(2j+1) C(n, n/2+j) / (n/2+j+1)``, so no package code evaluates it.
-    """
-
-    def count(qubits, d):
-        k = (qubits + d) // 2
-        return (d + 1) * math.comb(qubits, k) // (k + 1)
-
-    n, m = coeffs.n_in, coeffs.m_out
-    total = Fraction(0)
-    for (j, l, J), s in coeffs.weights.items():
-        dj, dl, dJ = j.doubled, l.doubled, J.doubled
-        sigma = Fraction(dJ * (dJ + 2) - dj * (dj + 2) - dl * (dl + 2), 4)
-        total += Fraction(s) * count(m, dj) * count(n, dl) * (dJ + 1) * sigma
-    return -2 * total / (3 * m * 2**n)
+    """``p(0)`` of the coefficients, weights as stored, by the test-side sector sum."""
+    triples = {(j.doubled, l.doubled, J.doubled): s for (j, l, J), s in coeffs.weights.items()}
+    return exact.p_zero(triples, coeffs.n_in, coeffs.m_out)
 
 
 def test_p_zero_of_the_optimal_map_is_exact():
@@ -486,28 +479,14 @@ def test_output_length_monotone_in_input_length():
         assert np.all(np.diff(values) > -1e-12)
 
 
-def _exact_f_n(n, r):
-    """``F_N(r) = sum_l d_l/(l+1) sum_n (-n) w(l, n)`` in exact rationals.
-
-    The alpha-identity sector sum of the half-output-spin map, ``s = -l(M+2)``,
-    without its factor ``(M+2)/M``; O(N^2) terms, no binomial regrouping.
-    """
-    r = Fraction(r)
-    r_plus, r_minus = (1 + r) / 2, (1 - r) / 2
-    powers = [r_plus**k * r_minus ** (n - k) for k in range(n + 1)]
-    total = Fraction(0)
-    for l in spin_range(n):
-        dl = l.doubled
-        inner = sum(-dn * powers[(n - dn) // 2] for dn in range(-dl, dl + 1, 2))
-        total += multiplicity(n, l) * inner / (dl + 2)
-    return total
-
-
 def test_f_n_matches_exact_sector_sum():
-    for n in range(1, 41):
+    # every N <= 40 and each N the large-n-thresholds benchmark draws (its
+    # six centres +-2), against the test-side sector sum
+    large = [c + d for c in (64, 84, 108, 136, 168, 200) for d in range(-2, 3)]
+    for n in [*range(1, 41), *large]:
         for r in (0.05, 0.3, 0.5, 0.77, 0.99, 1.0 - 1e-9):
-            exact = _exact_f_n(n, r)
-            assert abs(_f_n(n, r) - exact) <= 1e-13 * exact, (n, r)
+            value = exact.f_n_sector(n, r)
+            assert abs(_f_n(n, r) - value) <= 1e-13 * value, (n, r)
 
 
 def test_f_n_matches_the_adjacent_curve():

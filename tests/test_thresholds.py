@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import exact
 from superbroadcast import analysis, thresholds
 from superbroadcast.analysis import (
     _binomial_coefficients,
@@ -95,41 +96,6 @@ def test_m_star_counts():
     assert capped.m_star == 50
 
 
-def _poly_mul(a, b):
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return out
-
-
-def _poly_pow(a, k):
-    out = [Fraction(1)]
-    for _ in range(k):
-        out = _poly_mul(out, a)
-    return out
-
-
-def _f_coefficients(n):
-    """Power coefficients of F_N(r) = sum_l d_l/(l+1) sum_n (-n) w(l, n), exactly.
-
-    Built from binomials alone: d_l = C(N, N/2-l) - C(N, N/2-l-1) and
-    w(l, n) = r_+^(N/2-n) r_-^(N/2+n) with r_+- = (1 +- r)/2.
-    """
-    half = Fraction(1, 2)
-    plus, minus = [half, half], [half, -half]
-    coeffs = [Fraction(0)] * (n + 1)
-    for dl in range(n % 2, n + 1, 2):
-        k = (n - dl) // 2
-        d = comb(n, k) - (comb(n, k - 1) if k else 0)
-        for dn in range(-dl, dl + 1, 2):
-            term = _poly_mul(_poly_pow(plus, (n - dn) // 2), _poly_pow(minus, (n + dn) // 2))
-            scale = Fraction(-d * dn, dl + 2)
-            for i, c in enumerate(term):
-                coeffs[i] += scale * c
-    return coeffs
-
-
 def test_zero_slope_bounds_f_over_r_exactly():
     # g(r) = K_N - F_N(r)/r >= 0 on [0, 1] wherever K_N < 1 (N <= 5), so
     # p(r) <= p(0) there and presence is (M+2) K_N > M
@@ -141,10 +107,10 @@ def test_zero_slope_bounds_f_over_r_exactly():
         5: {2: Fraction(7, 30), 4: Fraction(-13, 420)},
     }
     for n, want in expected.items():
-        f = _f_coefficients(n)
+        f = exact.f_n_power_coefficients(n)
         assert f[0] == 0
         k = f[1]
-        assert k == _zero_slope(n) < 1
+        assert k == _zero_slope(n) == exact.zero_slope(n) < 1
         # power coefficients of g(r), r^0 first, padded to r^2
         g = [k - f[1]] + [-c for c in f[2:]] + [Fraction(0)] * 2
         assert {i: c for i, c in enumerate(g) if c} == want
@@ -193,15 +159,6 @@ def test_central_binomial_from_prime_exponents_matches_comb():
     assert _central_binomial(10**5) == comb(10**5, 10**5 // 2)
 
 
-def _exact_b(n):
-    """b_k = (k - N/2) S_|N-2k| for k = 0..N from the S recursion, exactly."""
-    s = {n + 2: Fraction(0)}
-    for dl in range(n, -1, -2):
-        ratio = Fraction(n - dl, n + dl + 2)
-        s[dl] = Fraction(4 * (dl + 1), (n + dl + 2) * (dl + 2)) + s[dl + 2] * ratio
-    return [(k - Fraction(n, 2)) * s[abs(n - 2 * k)] for k in range(n + 1)]
-
-
 def _bernstein_on_unit_r(n):
     """F_N's Bernstein coefficients in r on [0, 1], each times one positive
     integer, and that integer.
@@ -212,7 +169,7 @@ def _bernstein_on_unit_r(n):
     them, here in integers: neighbour sums in place of midpoints make row t
     of the triangle 2^t times the true one.
     """
-    b = _exact_b(n)
+    b = exact.b_coefficients(n)
     scale = lcm(*(x.denominator for x in b))
     row = [int(x * scale) for x in b]
     right = [row[-1]]
@@ -233,7 +190,7 @@ def test_f_n_is_concave_exactly():
     # sweep use
     for n in [*range(2, 203), 1030, 1034, 1100]:
         # the package's float recursion computes the same b_k
-        b = [float(x) for x in _exact_b(n)]
+        b = [float(x) for x in exact.b_coefficients(n)]
         assert np.allclose(b, _binomial_coefficients(n), rtol=0, atol=1e-14)
         c, scale = _bernstein_on_unit_r(n)
         second = [x - 2 * y + z for x, y, z in zip(c, c[1:], c[2:])]
@@ -242,12 +199,11 @@ def test_f_n_is_concave_exactly():
         if n > 12:
             continue
         # the recursion-built Bernstein form equals the multiplicity-built
-        # power form at N+1 distinct points, so the two polynomials agree
-        f = _f_coefficients(n)
+        # sector sum at N+1 distinct points, so the two polynomials agree
         for i in range(n + 1):
             r = Fraction(i, n)
             bernstein = sum(comb(n, k) * ck * r**k * (1 - r) ** (n - k) for k, ck in enumerate(c))
-            assert bernstein == scale * sum(fk * r**k for k, fk in enumerate(f)), f"N={n}, r={r}"
+            assert bernstein == scale * exact.f_n_sector(n, r), f"N={n}, r={r}"
 
 
 def test_r_prime_factorizes_over_outputs():
@@ -418,6 +374,32 @@ def test_r_star_returns_the_sign_change_cell(n, extra, tol):
     assert (left / width).is_integer()
     assert left == 0.0 or _passes(n, m, left)
     assert right == 1.0 or not _passes(n, m, right)
+
+
+# every N the large-n-thresholds benchmark draws: its six centres +-2
+BENCHMARK_NS = [c + d for c in (64, 84, 108, 136, 168, 200) for d in range(-2, 3)]
+
+
+def test_r_star_cells_are_certified_in_exact_arithmetic():
+    # F_N(r) - M/(M+2) r, in exact integers by the test-side Bernstein form,
+    # is >= 0 at each reported cell's left end (or that end is 0) and <= 0
+    # at its right end (or that end is 1): every N <= 60 with M in
+    # N+1..N+4, and the benchmark's N with M in N+1..N+2
+    cases = [(n, n + k) for n in range(1, 61) for k in range(1, 5)]
+    cases += [(n, n + k) for n in BENCHMARK_NS for k in (1, 2)]
+    certified = 0
+    for n, m in cases:
+        for tol in (1e-6, 1e-10):
+            result = r_star(n, m, tol=tol)
+            if not result.exists:
+                continue
+            half = Fraction(result.bracket_width) / 2
+            left, right = Fraction(result.r_star) - half, Fraction(result.r_star) + half
+            ratio = Fraction(m, m + 2)
+            assert left == 0 or exact.excess_sign(n, ratio, left) >= 0, (n, m, tol)
+            assert right == 1 or exact.excess_sign(n, ratio, right) <= 0, (n, m, tol)
+            certified += 1
+    assert certified == 454 + 4 * len(BENCHMARK_NS)
 
 
 def test_presence_reads_zero_slope_only_up_to_five(monkeypatch):
