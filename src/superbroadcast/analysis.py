@@ -25,10 +25,11 @@ sector, the same for every ``r``; it is the half-output-spin map, whose
 closed form :func:`optimal_map` derives.
 
 Moments are the exact rational ``alpha 2n`` rounded once to float, except
-in anti-stretched sectors ``J = |j - l|`` of size ``2j + 2l >=
-FAST_KERNEL_MIN_SIZE``, where a log-factorial kernel stays because the
-reference digests in ``perfbench/golden.json`` pin its last-digit rounding
-of the figure-2 table.  It builds only each square's nonzero band, with
+in anti-stretched sectors ``J = |j - l|`` of size ``FAST_KERNEL_MIN_SIZE
+<= 2j + 2l <= FAST_KERNEL_MAX_SIZE`` (24 to 201), where a log-factorial
+kernel stays because the reference digests in ``perfbench/golden.json`` pin
+its last-digit rounding of the figure-2 table; 201 is the largest such
+sector that table builds.  It builds only each square's nonzero band, with
 the per-entry operation order of the index-gather form those digests were
 taken with, so it keeps every bit in about one matrix of memory.  The
 dense-matrix oracle in :mod:`superbroadcast.oracle` checks both against
@@ -84,9 +85,12 @@ __all__ = [
     "scaling_profile",
 ]
 
-# Sector size (2j + 2l) from which anti-stretched couplings use the
-# log-factorial kernel instead of the exact alpha moments.
+# Sector sizes (2j + 2l) between which anti-stretched couplings use the
+# log-factorial kernel instead of the exact alpha moments.  The upper end is
+# the largest anti-stretched sector that ``figure2`` builds, l = 50 and
+# j = 101/2 of its (100, 101) curve, whose kernel bits the digest pins.
 FAST_KERNEL_MIN_SIZE = 24
+FAST_KERNEL_MAX_SIZE = 201
 
 
 # ---------------------------------------------------------------------------
@@ -138,10 +142,17 @@ class InputWeights:
             running = cum[l.doubled] = running + multiplicity(n, l)
         (a, p), (b, q) = (((1.0 + s * self.r) / 2.0).as_integer_ratio() for s in (1, -1))
         a, b, unit = a * max(p, q) // p, b * max(p, q) // q, max(p, q)  # r_+- = a/unit, b/unit
-        numerator, power = 0, 1  # Horner in r_+, from k = N down
-        for k in range(n, -1, -1):
-            numerator, power = numerator * a + cum[abs(n - 2 * k)] * power, power * b
-        return numerator / unit**n
+        # sum_k cum a^k b^(N-k) by binary splitting: each run of exponents
+        # [lo, hi) holds (sum of cum a^(k-lo) b^(hi-1-k), a^(hi-lo), b^(hi-lo)),
+        # and neighbours join in a balanced tree, on operands of similar length
+        runs = [(cum[abs(n - 2 * k)], a, b) for k in range(n + 1)]
+        while len(runs) > 1:
+            paired = [
+                (s1 * b2 + a1 * s2, a1 * a2, b1 * b2)
+                for (s1, a1, b1), (s2, a2, b2) in zip(runs[::2], runs[1::2])
+            ]
+            runs = paired + runs[2 * len(paired):]
+        return runs[0][0] / unit**n
 
 
 def input_weights(n_in: int, r: float) -> InputWeights:
@@ -236,8 +247,10 @@ def _moments_fast(dl: int, dj: int, dJ: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _polarization(dl: int, dj: int, dJ: int) -> np.ndarray:
-    """Polarization moment vector of one sector, ``n`` ascending."""
-    if dJ == abs(dj - dl) and dj + dl >= FAST_KERNEL_MIN_SIZE:
+    """Polarization moment vector of one sector, ``n`` ascending: the exact
+    alpha moments, except in the anti-stretched sectors of the kernel window
+    ``FAST_KERNEL_MIN_SIZE <= 2j + 2l <= FAST_KERNEL_MAX_SIZE``."""
+    if dJ == abs(dj - dl) and FAST_KERNEL_MIN_SIZE <= dj + dl <= FAST_KERNEL_MAX_SIZE:
         return _moments_fast(dl, dj, dJ)[1]
     return _alpha_polarization(dl, dj, dJ)
 

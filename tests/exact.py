@@ -43,6 +43,8 @@ Run as a script::
     python tests/exact.py --sha256 figure2      # its SHA-256
     python tests/exact.py --digests             # each reference command:
         # its reference SHA-256, whether golden.json pins it, ledger rows
+    python tests/exact.py --compare out.csv scaling --n 300 --m 301
+        # each cell of a CSV the CLI wrote that differs, and their count
 """
 
 from __future__ import annotations
@@ -402,6 +404,51 @@ def _reference_csv(argv: tuple[str, ...]) -> str:
     return "\n".join(",".join(row) for row in rows) + "\n"
 
 
+# Columns that name a row rather than hold a computed value.
+KEY_COLUMNS = frozenset({"panel", "n", "m", "r", "input_spin"})
+
+
+def differing_cells(argv, printed: str) -> list[dict]:
+    """One ledger entry per cell where the CSV text ``printed`` differs from
+    :func:`reference_csv` of ``argv``; :class:`ValueError` when the two
+    tables do not line up row for row."""
+    argv = argv if isinstance(argv, str) else " ".join(argv)
+    got = [line.split(",") for line in printed.splitlines()]
+    want = [line.split(",") for line in reference_csv(argv).splitlines()]
+    if len(got) != len(want) or got[0] != want[0]:
+        raise ValueError(f"not the table of {argv!r}: rows or header differ")
+    header = got[0]
+    cells = []
+    for got_row, want_row in zip(got[1:], want[1:]):
+        if not len(got_row) == len(want_row) == len(header):
+            raise ValueError(f"not the table of {argv!r}: row {','.join(got_row)}")
+        row = ",".join(cell for cell, name in zip(got_row, header) if name in KEY_COLUMNS)
+        cells += [
+            {"argv": argv, "row": row, "column": name, "printed": g, "exact": w}
+            for name, g, w in zip(header, got_row, want_row)
+            if g != w
+        ]
+    return cells
+
+
+def compare(path: str, argv: list[str]) -> int:
+    """Print each cell of the CSV file ``path`` that differs from the
+    reference table of ``argv``, then the count; 1 if the file cannot be
+    read as that table, else 0."""
+    try:
+        printed = Path(path).read_text()
+        cells = differing_cells(argv, printed)
+    except (OSError, ValueError) as exc:
+        print(f"exact.py: cannot compare {path}: {exc}", file=sys.stderr)
+        return 1
+    for cell in cells:
+        print(f"{cell['row']} {cell['column']}: printed {cell['printed']}, exact {cell['exact']}")
+    lines = printed.splitlines()
+    values = (len(lines) - 1) * sum(name not in KEY_COLUMNS for name in lines[0].split(","))
+    print(f"{len(cells)} of {values} printed values differ from the exact reference")
+    return 0
+
+
 def sha256(argv) -> str:
     return hashlib.sha256(reference_csv(argv).encode()).hexdigest()
 
@@ -425,6 +472,8 @@ def main(argv: list[str]) -> int:
         print("\n".join(digests()))
     elif argv[:1] == ["--sha256"]:
         print(sha256(argv[1:]))
+    elif argv[:1] == ["--compare"] and len(argv) > 2:
+        return compare(argv[1], argv[2:])
     else:
         sys.stdout.write(reference_csv(argv))
     return 0

@@ -198,6 +198,8 @@ CORNERS = [
     ("scaling --n 1024 --m 2 --steps 2", 0),
     ("scaling --n 1034 --m 2 --steps 2", 2),
     ("scaling --n 1040 --m 2 --steps 2", 2),
+    ("scaling --n 12 --m 1000000 --steps 3", 0),
+    ("scaling --n 1030 --m 1031 --steps 3", 0),
     ("threshold --n 100000 --m 100001", 0),
     ("mstar --n 100000", 0),
     ("optimal-map --n 1100 --m 1101", 0),

@@ -26,27 +26,6 @@ LEDGER = json.loads(exact.LEDGER_PATH.read_text())
 # lowers it with their entries; nothing may raise it.
 LEDGER_CEILING = 33
 
-# Columns that name a row rather than hold a computed value.
-KEY_COLUMNS = {"panel", "n", "m", "r", "input_spin"}
-
-
-def _differing_cells(argv, printed, reference):
-    """One ledger entry per cell where the printed CSV differs from the exact one."""
-    got = [line.split(",") for line in printed.splitlines()]
-    want = [line.split(",") for line in reference.splitlines()]
-    assert len(got) == len(want) and got[0] == want[0], argv
-    header = got[0]
-    cells = []
-    for got_row, want_row in zip(got[1:], want[1:]):
-        assert len(got_row) == len(want_row) == len(header), (argv, got_row, want_row)
-        row = ",".join(cell for cell, name in zip(got_row, header) if name in KEY_COLUMNS)
-        cells += [
-            {"argv": argv, "row": row, "column": name, "printed": g, "exact": w}
-            for name, g, w in zip(header, got_row, want_row)
-            if g != w
-        ]
-    return cells
-
 
 def _printed(argv, tmp_path):
     target = tmp_path / "out.csv"
@@ -82,12 +61,40 @@ def test_fmt12_is_percent_g_on_doubles_and_rounds_ties_to_even():
 
 @pytest.mark.parametrize("argv", sorted(GOLDEN))
 def test_cli_matches_the_exact_reference_but_at_the_ledger(argv, tmp_path):
-    found = _differing_cells(argv, _printed(argv, tmp_path), exact.reference_csv(argv))
+    found = exact.differing_cells(argv, _printed(argv, tmp_path))
     listed = [entry for entry in LEDGER if entry["argv"] == argv]
     stale = [entry for entry in listed if entry not in found]
     unlisted = [entry for entry in found if entry not in listed]
     assert not stale, f"no longer printed as listed; delete the mended ones: {stale}"
     assert not unlisted, f"printed values that differ from the exact ones: {unlisted}"
+
+
+@pytest.mark.parametrize("argv", ["scaling --n 191 --m 192", "scaling --n 191 --m 193"])
+def test_curves_past_the_kernel_window_print_the_exact_reference(argv, tmp_path):
+    # most sectors here are anti-stretched ones larger than any figure2
+    # builds, which take the exact alpha moments; 9312 coefficients stay
+    # under OpenBLAS's threading cut, so the bytes hold at any thread count
+    assert _printed(argv, tmp_path) == exact.reference_csv(argv)
+
+
+def test_compare_lists_each_differing_cell(tmp_path, capsys):
+    argv = ["threshold", "--n", "4", "--m", "5"]
+    target = tmp_path / "out.csv"
+    assert cli.main(argv + ["--out", str(target)]) == 0
+    assert exact.main(["--compare", str(target)] + argv) == 0
+    lines = capsys.readouterr().out.splitlines()
+    entry = next(entry for entry in LEDGER if entry["argv"] == " ".join(argv))
+    assert lines == [
+        f"4,5 r_star: printed {entry['printed']}, exact {entry['exact']}",
+        "1 of 1 printed values differ from the exact reference",
+    ]
+    target.write_text(exact.reference_csv(argv))
+    assert exact.main(["--compare", str(target)] + argv) == 0
+    assert capsys.readouterr().out == "0 of 1 printed values differ from the exact reference\n"
+    # a file it cannot read, or not the table of that command
+    assert exact.main(["--compare", str(tmp_path / "missing.csv")] + argv) == 1
+    assert exact.main(["--compare", str(target), "mstar", "--n", "4"]) == 1
+    assert capsys.readouterr().err.count("exact.py: cannot compare") == 2
 
 
 def test_ledger_only_shrinks():

@@ -14,8 +14,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from superbroadcast import analysis
-from superbroadcast.analysis import BlochCurve, _log_factorials, _moments_fast
+from superbroadcast import analysis, cli
+from superbroadcast.analysis import (
+    FAST_KERNEL_MAX_SIZE,
+    BlochCurve,
+    _log_factorials,
+    _moments_fast,
+)
 from superbroadcast.channels import conjectured_optimal_map
 
 
@@ -113,3 +118,20 @@ def test_corrupted_log_factorials_fail_the_mass_check(monkeypatch):
     monkeypatch.setattr(analysis, "_log_factorials", corrupted)
     with pytest.raises(ArithmeticError, match="lost mass in sector l=12, j=15, J=3"):
         _moments_fast(24, 30, 6)
+
+
+def test_kernel_window_ends_at_the_largest_figure2_sector(monkeypatch, capsys):
+    # the kernel serves only the sectors whose bits the figure2 digest pins;
+    # a panel that outgrows the window fails here first
+    sizes = []
+
+    def recording(dl, dj, dJ):
+        sizes.append(dj + dl)
+        return _moments_fast(dl, dj, dJ)
+
+    monkeypatch.setattr(analysis, "_moments_fast", recording)
+    analysis._cached_curve.cache_clear()
+    analysis.scaling_profile.cache_clear()
+    assert cli.main(["figure2"]) == 0
+    capsys.readouterr()
+    assert max(sizes) == FAST_KERNEL_MAX_SIZE
