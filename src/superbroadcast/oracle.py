@@ -18,6 +18,11 @@ the operator is invariant under the collective pi rotation, as every
 covariant Choi operator is.  Caps are fixed: above ``QUBIT_CAP = 12``
 qubits (8 for the permutation twirl) :class:`SizeCapError` is raised first.
 
+Each register's Schur basis, each Clebsch-Gordan coupling table and each
+register's popcount bands are built once per process and kept; their
+arrays are read-only.  The bases of every size up to ``L`` qubits hold
+about ``4/3 * 4^L`` floats (11 MB for ``L = 10``).
+
 Conventions: computational ``|0>`` is spin up along z; register tensor
 factors are ordered output (x) input in Choi operators; Schur blocks store
 projections in descending order (highest weight first).
@@ -27,6 +32,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional, Sequence
 
 import numpy as np
@@ -115,8 +121,12 @@ class SchurIsometry:
         return self.blocks[HalfInt.of(j)][path_index][1]
 
     def column(self, j: SpinLike, m: SpinLike, path_index: int = 0) -> np.ndarray:
+        """The vector ``|j, m, path>``; raises :class:`ValueError` unless
+        ``m`` is one of ``-j, -j+1, ..., j``."""
         jj = HalfInt.of(j)
         mm = HalfInt.of(m)
+        if abs(mm.doubled) > jj.doubled or (jj.doubled - mm.doubled) % 2:
+            raise ValueError(f"projection {mm} is not a projection of spin {jj}")
         return self.block(jj, path_index)[(jj.doubled - mm.doubled) // 2]
 
     def matrix(self) -> np.ndarray:
@@ -136,6 +146,11 @@ def schur_isometry(n_qubits: int) -> SchurIsometry:
     ``j - 1/2`` children with Clebsch-Gordan amplitudes; the recursion
     realizes the multiplicity spaces as coupling paths.
 
+    The blocks of each register size are built once per process, from
+    those of one qubit fewer, and kept; every call returns a new
+    :class:`SchurIsometry` (a new dict of new lists) over those arrays,
+    which are read-only.
+
     Raises:
         SizeCapError: for ``n_qubits`` above ``QUBIT_CAP`` (12), where the
             dense basis would not fit comfortably in memory.
@@ -144,37 +159,62 @@ def schur_isometry(n_qubits: int) -> SchurIsometry:
         raise ValueError(f"need at least one qubit, got {n_qubits}")
     if n_qubits > QUBIT_CAP:
         raise SizeCapError(f"{n_qubits} qubits exceed the dense cap {QUBIT_CAP}")
+    return SchurIsometry(n_qubits, {j: list(paths) for j, paths in _schur_blocks(n_qubits)})
+
+
+_Paths = tuple[tuple[tuple[HalfInt, ...], np.ndarray], ...]
+
+
+@lru_cache(maxsize=None)
+def _schur_blocks(n_qubits: int) -> tuple[tuple[HalfInt, _Paths], ...]:
+    """The ``(j, paths)`` of :func:`schur_isometry`, spins descending, arrays
+    read-only; the new qubit is the least significant tensor factor."""
     half = HalfInt(1)
-    blocks: dict[HalfInt, list[tuple[tuple[HalfInt, ...], np.ndarray]]] = {
-        half: [((half,), np.eye(2))]
-    }
-    for level in range(2, n_qubits + 1):
-        grown: dict[HalfInt, list[tuple[tuple[HalfInt, ...], np.ndarray]]] = {}
-        for j in sorted(blocks, reverse=True):
-            for child in (j + half, j - half):
-                if child.doubled < 0:
-                    continue
-                # amplitudes[row, qubit, old row]: <child m_new | j m_old, 1/2 +-1/2>,
-                # the new qubit up (0) or down (1); shared by every path of j.
-                amplitudes = np.zeros((child.dim, 2, j.dim))
-                for row, m_new in enumerate(reversed(projections(child))):
-                    for qubit, spin_state in enumerate((half, -half)):
-                        m_old = m_new - spin_state
-                        if abs(m_old.doubled) > j.doubled:
-                            continue
-                        amplitudes[row, qubit, (j.doubled - m_old.doubled) // 2] = cg(
-                            j, m_old, half, spin_state, child, m_new
-                        )
-                for path, block in blocks[j]:
-                    # the new qubit is the least significant tensor factor
-                    rows = (amplitudes @ block).transpose(0, 2, 1).reshape(child.dim, -1)
-                    grown.setdefault(child, []).append((path + (child,), rows))
-        blocks = grown
-    return SchurIsometry(n_qubits, blocks)
+    if n_qubits == 1:
+        return ((half, (((half,), _read_only(np.eye(2))),)),)
+    grown: dict[HalfInt, list[tuple[tuple[HalfInt, ...], np.ndarray]]] = {}
+    for j, paths in _schur_blocks(n_qubits - 1):
+        for child in (j + half, j - half):
+            if child.doubled < 0:
+                continue
+            # amplitudes[row, qubit, old row]: <child m_new | j m_old, 1/2 +-1/2>,
+            # child rows descending, the new qubit up (0) or down (1); a C-ordered
+            # copy, so the product below takes the same route as on a fresh array
+            amplitudes = np.ascontiguousarray(
+                _coupling_amplitudes(j, half, child).transpose(2, 1, 0)[::-1]
+            )
+            for path, block in paths:
+                rows = (amplitudes @ block).transpose(0, 2, 1).reshape(child.dim, -1)
+                grown.setdefault(child, []).append((path + (child,), _read_only(rows)))
+    return tuple((j, tuple(paths)) for j, paths in grown.items())
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
 
 
 # ---------------------------------------------------------------------------
 # Choi operators
+
+
+@lru_cache(maxsize=None)
+def _coupling_amplitudes(j: HalfInt, l: HalfInt, J: HalfInt) -> np.ndarray:
+    """``<J M_k | j m, l M_k-m>`` at ``[j row, l row, k]``, read-only.
+
+    Rows run over descending projections of ``j`` and ``l``, ``k`` over the
+    ascending projections of ``J``; each table is built once per process.
+    """
+    amplitudes = np.zeros((j.dim, l.dim, J.dim))
+    for k, m_total in enumerate(projections(J)):
+        for m in projections(j):
+            n = m_total - m
+            if abs(n.doubled) > l.doubled:
+                continue
+            amplitudes[(j.doubled - m.doubled) // 2, (l.doubled - n.doubled) // 2, k] = cg(
+                j, m, l, n, J, m_total
+            )
+    return _read_only(amplitudes)
 
 
 def _coupled_columns(
@@ -196,17 +236,8 @@ def _coupled_columns(
         raise ValueError(f"total spin {J} outside the coupling range of ({j}, {l})")
     if out_blocks.shape[1] != j.dim or in_blocks.shape[1] != l.dim:
         raise ValueError("Schur block shapes do not match the stated spins")
-    amplitudes = np.zeros((j.dim, l.dim, J.dim))
-    for k, m_total in enumerate(projections(J)):
-        for m in projections(j):
-            n = m_total - m
-            if abs(n.doubled) > l.doubled:
-                continue
-            amplitudes[(j.doubled - m.doubled) // 2, (l.doubled - n.doubled) // 2, k] = cg(
-                j, m, l, n, J, m_total
-            )
     columns = np.einsum(
-        "mnk,pma,qnb->abpqk", amplitudes, out_blocks, in_blocks, optimize=True
+        "mnk,pma,qnb->abpqk", _coupling_amplitudes(j, l, J), out_blocks, in_blocks, optimize=True
     )
     return columns.reshape(out_blocks.shape[2] * in_blocks.shape[2], -1)
 
@@ -455,20 +486,25 @@ def _charge_blocks(choi: DenseOperator) -> tuple[list[np.ndarray], Optional[np.n
     one exact count decides: its nonzero entries number exactly those of
     the blocks.  Otherwise it is ``S`` with the blocks zeroed.
     """
-    dim = choi.shape[0]
-    n_qubits = dim.bit_length() - 1
-    index = np.arange(dim)
-    charge = np.zeros(dim, dtype=int)
-    for bit in range(n_qubits):
-        charge += (index >> bit) & 1
-    bands = [np.flatnonzero(charge == value) for value in range(n_qubits + 1)]
-    blocks = [choi[np.ix_(band, band)] for band in bands]
+    bands = _charge_bands(choi.shape[0].bit_length() - 1)
+    blocks = [choi[band] for band in bands]
     if np.count_nonzero(choi) == sum(np.count_nonzero(block) for block in blocks):
         return blocks, None
     rest = choi.copy()
     for band in bands:
-        rest[np.ix_(band, band)] = 0.0
+        rest[band] = 0.0
     return blocks, rest
+
+
+@lru_cache(maxsize=None)
+def _charge_bands(n_qubits: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """``np.ix_`` of the indices of each popcount ``0..L``, read-only."""
+    index = np.arange(2**n_qubits)
+    charge = np.zeros(2**n_qubits, dtype=int)
+    for bit in range(n_qubits):
+        charge += (index >> bit) & 1
+    bands = [_read_only(np.flatnonzero(charge == value)) for value in range(n_qubits + 1)]
+    return tuple(np.ix_(band, band) for band in bands)
 
 
 def _skew_deviation(blocks: list[np.ndarray], rest: Optional[np.ndarray]) -> float:
@@ -534,11 +570,13 @@ def verify_closed_form(
     first), each contracted with the stack of all probe inputs; their
     traces and Bloch components are ``Re tr(rho sigma)`` in one ``einsum``.
     The output side of the covariance check is rotated by the two halves of
-    the output register in turn.
+    the output register in turn, after ``S`` is released.
 
-    ``coefficients`` overrides the map's own weights; only the tests and the
-    ``dense-oracle`` benchmark set it, to a corrupted set whose deviations
-    the trace-preservation and closed-form checks must report.
+    ``coefficients`` overrides the map's own weights.  ``cli.verify_lines``
+    passes the map's own coefficients, which it has already built for its
+    coefficient check; the tests and the ``dense-oracle`` benchmark also pass
+    corrupted sets, whose deviations the trace-preservation and closed-form
+    checks must report.
     """
     from .analysis import single_copy_bloch  # local import: analysis is the peer under test
 
@@ -595,6 +633,7 @@ def verify_closed_form(
         u_in = kron_power(u, n_in)
         inputs.append(u_in @ base @ u_in.conj().T)
     outputs = _contract(choi4, _spin_flipped(np.stack(inputs), n_in))
+    del choi, choi4  # the rotations below then share memory with the outputs only
     covariance_dev = max(
         float(np.max(np.abs(rotated_first - _rotate(u, outputs[0]))))
         for u, rotated_first in zip(rotations, outputs[1:])

@@ -159,21 +159,32 @@ def multiplicity(n_qubits: int, j: SpinLike) -> int:
     """Number of spin-``j`` irreducible blocks in ``n_qubits`` coupled qubits.
 
     Equals ``(2j+1) / (n/2 + j + 1) * C(n, n/2 + j)`` and is always an
-    integer.  Raises :class:`ValueError` if ``j`` is negative, exceeds
-    ``n_qubits / 2``, or has the wrong parity for the register size.
+    integer, kept per ``(n, j)`` once computed.  Raises
+    :class:`ValueError` if ``j`` is negative, exceeds ``n_qubits / 2``, or
+    has the wrong parity for the register size.
     """
     jj = HalfInt.of(j)
-    d = jj.doubled
     if n_qubits < 1:
         raise ValueError(f"need at least one qubit, got {n_qubits}")
-    if not _is_spin_of(n_qubits, d):
+    if not _is_spin_of(n_qubits, jj.doubled):
         raise ValueError(f"spin {jj} is not a spin of {n_qubits} qubits")
+    return _multiplicity(n_qubits, jj.doubled)
+
+
+@lru_cache(maxsize=2**12)
+def _multiplicity(n_qubits: int, d: int) -> int:
+    """:func:`multiplicity` of the doubled spin ``d``, arguments checked.
+
+    The cache is bounded, so a sweep over every spin of a large register
+    (an ``N``-bit value each) is not kept whole."""
     k = (n_qubits + d) // 2
     numerator = (d + 1) * math.comb(n_qubits, k)
     denominator = k + 1
     count, remainder = divmod(numerator, denominator)
     if remainder:
-        raise ArithmeticError(f"multiplicity of spin {jj} in {n_qubits} qubits is not whole")
+        raise ArithmeticError(
+            f"multiplicity of spin {HalfInt(d)} in {n_qubits} qubits is not whole"
+        )
     return count
 
 

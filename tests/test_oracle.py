@@ -38,7 +38,7 @@ from superbroadcast.oracle import (
     symmetric_marginal_deviation,
     verify_closed_form,
 )
-from superbroadcast.su2core import HalfInt, coupled_range, multiplicity, spin_range
+from superbroadcast.su2core import HalfInt, cg, coupled_range, multiplicity, projections, spin_range
 
 
 def projector_J(j, l, J, out_block, in_block):
@@ -98,6 +98,91 @@ def test_schur_three_qubit_paths():
     assert abs(a @ a - 1.0) < 1e-12
     assert abs(b @ b - 1.0) < 1e-12
     assert abs(a @ b) < 1e-12
+
+
+def _reference_schur_blocks(n_qubits):
+    # the one-qubit-at-a-time recursion with one su2core.cg call per entry,
+    # with no cache: blocks[j] lists (path, rows) as in SchurIsometry
+    half = HalfInt(1)
+    blocks = {half: [((half,), np.eye(2))]}
+    for _ in range(2, n_qubits + 1):
+        grown = {}
+        for j in sorted(blocks, reverse=True):
+            for child in (j + half, j - half):
+                if child.doubled < 0:
+                    continue
+                # amplitudes[row, qubit, old row]: <child m_new | j m_old, 1/2 +-1/2>
+                amplitudes = np.zeros((child.dim, 2, j.dim))
+                for row, m_new in enumerate(reversed(projections(child))):
+                    for qubit, spin_state in enumerate((half, -half)):
+                        m_old = m_new - spin_state
+                        if abs(m_old.doubled) > j.doubled:
+                            continue
+                        amplitudes[row, qubit, (j.doubled - m_old.doubled) // 2] = cg(
+                            j, m_old, half, spin_state, child, m_new
+                        )
+                for path, block in blocks[j]:
+                    rows = (amplitudes @ block).transpose(0, 2, 1).reshape(child.dim, -1)
+                    grown.setdefault(child, []).append((path + (child,), rows))
+        blocks = grown
+    return blocks
+
+
+def test_schur_blocks_match_the_per_entry_recursion_byte_for_byte():
+    for size in range(1, 11):
+        expected = _reference_schur_blocks(size)
+        blocks = schur_isometry(size).blocks
+        assert list(blocks) == list(expected)
+        for j, paths in expected.items():
+            assert [path for path, _ in blocks[j]] == [path for path, _ in paths]
+            for (_, block), (_, rows) in zip(blocks[j], paths):
+                assert block.shape == rows.shape
+                assert block.tobytes() == rows.tobytes()
+
+
+def test_schur_isometry_returns_fresh_containers_over_read_only_arrays():
+    first = schur_isometry(3)
+    half, top = HalfInt(1), HalfInt(3)
+    with pytest.raises(ValueError, match="read-only"):
+        first.block(half)[0, 0] = 2.0
+    with pytest.raises(ValueError, match="read-only"):
+        first.column(top, half)[:] = 0.0
+    with pytest.raises(ValueError, match="read-only"):
+        oracle._coupling_amplitudes(half, half, HalfInt(2))[0, 0, 0] = 2.0
+    expected = {j: list(paths) for j, paths in first.blocks.items()}
+    first.blocks[half].pop()
+    del first.blocks[top]
+    second = schur_isometry(3)
+    assert second.blocks is not first.blocks
+    assert second.blocks == expected
+    assert second.blocks[half] is not schur_isometry(3).blocks[half]
+
+
+def test_schur_column_rejects_projections_the_spin_does_not_have():
+    one = schur_isometry(1)
+    for m in (Fraction(3, 2), Fraction(-3, 2), 0, 1):
+        with pytest.raises(ValueError, match="not a projection of spin 1/2"):
+            one.column(Fraction(1, 2), m)
+    two = schur_isometry(2)
+    for m in (Fraction(1, 2), 2, -2):
+        with pytest.raises(ValueError, match="not a projection of spin 1"):
+            two.column(1, m)
+    assert one.column(Fraction(1, 2), Fraction(-1, 2)).tolist() == [0.0, 1.0]
+
+
+def test_second_verify_on_seen_registers_makes_no_cg_call(monkeypatch):
+    emap = conjectured_optimal_map(3, 5)
+    verify_closed_form(3, 5, emap, seed=1)
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return cg(*args)
+
+    monkeypatch.setattr(oracle, "cg", counting)
+    report = verify_closed_form(3, 5, emap, seed=2)
+    assert report.ok, report.failures()
+    assert calls == []
 
 
 def test_schur_cap():

@@ -1,5 +1,7 @@
 """Exact angular-momentum kernel: half-integers, multiplicities, couplings."""
 
+import math
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -8,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from superbroadcast.analysis import perfect_broadcast_channel
 from superbroadcast.su2core import (
     HalfInt,
     _is_spin_of,
@@ -105,6 +108,21 @@ def test_multiplicity_domain_errors():
         multiplicity(4, 3)  # above L/2
     with pytest.raises(ValueError):
         multiplicity(0, 0)
+
+
+def test_multiplicity_takes_each_binomial_once(monkeypatch):
+    # every caller of a large output register asks for the same few
+    # multiplicities; each binomial C(n, k) is computed at most once
+    calls = Counter()
+    comb = math.comb
+
+    def counting(n, k):
+        calls[n, k] += 1
+        return comb(n, k)
+
+    monkeypatch.setattr(math, "comb", counting)
+    assert perfect_broadcast_channel(30, 10**5, 0.5) is not None
+    assert max(calls.values(), default=1) == 1
 
 
 def test_dimension_sum_recovers_register_size():
