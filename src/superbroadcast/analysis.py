@@ -42,8 +42,13 @@ The purity scaling factor is ``p(r) = r'/r``; ``p > 1`` means each output
 copy is purer than each input copy (superbroadcasting).  ``p(0)`` of the
 optimal map is the exact rational :func:`half_spin_scaling_at_zero`, which
 decides every ``p(0) > 1`` question without rounding.  Its ``r'`` is
-``(M+2)/M * F_N(r)``, and the thresholds evaluate ``F_N`` in the O(N)
-binomial form of :func:`_f_n` instead of on a curve.
+``(M+2)/M * F_N(r)`` for ``M >= N``, and the thresholds evaluate ``F_N`` in
+the O(N) binomial form of :func:`_f_n` instead of on a curve.  So do the
+profiles of :func:`scaling_profile` from ``N = 101`` on: they turn no
+multiplicity into a float and answer at ``N = 10^5``.  Profiles with
+``N <= 100`` keep the per-sector curve only because the ``figure2`` digest
+pins its last digits, and those with ``M < N`` keep it until ROADMAP.md
+item 3 gives every channel an O(N) form (see :class:`ScalingProfile`).
 """
 
 from __future__ import annotations
@@ -52,7 +57,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Optional, Union
 
 import numpy as np
@@ -259,6 +264,27 @@ def _polarization(dl: int, dj: int, dJ: int) -> np.ndarray:
 # Bloch-length evaluation
 
 
+def _bloch_lengths(r: Union[float, np.ndarray]) -> np.ndarray:
+    """``r`` as a float array; ValueError unless every entry lies in [0, 1]."""
+    rr = np.asarray(r, dtype=float)
+    if not np.all((rr >= 0) & (rr <= 1)):
+        raise ValueError("Bloch length outside [0, 1]")
+    return rr
+
+
+def _scaling_factor(r, r_prime, p_zero) -> Union[float, np.ndarray]:
+    """``r_prime(r)/r`` at each ``r``, one batch for every nonzero ``r``, and
+    ``p_zero()`` at ``r = 0``; a float for a scalar ``r``."""
+    rr = np.atleast_1d(np.asarray(r, dtype=float))
+    values = np.empty_like(rr)
+    nonzero = rr != 0
+    if np.any(nonzero):
+        values[nonzero] = r_prime(rr[nonzero]) / rr[nonzero]
+    if not np.all(nonzero):
+        values[~nonzero] = p_zero()
+    return float(values[0]) if np.isscalar(r) else values
+
+
 @dataclass(frozen=True)
 class BlochReport:
     """Single-copy output of a channel at input Bloch length ``r``.
@@ -320,9 +346,7 @@ class BlochCurve:
 
     def r_prime(self, r: Union[float, np.ndarray]) -> Union[float, np.ndarray]:
         """Output Bloch length at input length ``r`` (scalar or array)."""
-        rr = np.asarray(r, dtype=float)
-        if not np.all((rr >= 0) & (rr <= 1)):
-            raise ValueError("Bloch length outside [0, 1]")
+        rr = _bloch_lengths(r)
         r_plus = (1.0 + rr) / 2.0
         r_minus = (1.0 - rr) / 2.0
         k = np.arange(self.n_in + 1)
@@ -341,13 +365,7 @@ class BlochCurve:
 
     def p(self, r: Union[float, np.ndarray]) -> Union[float, np.ndarray]:
         """Scaling factor ``r'/r``, with the analytic limit at ``r = 0``."""
-        rr = np.atleast_1d(np.asarray(r, dtype=float))
-        values = np.empty_like(rr)
-        nonzero = rr != 0
-        if np.any(nonzero):
-            values[nonzero] = self.r_prime(rr[nonzero]) / rr[nonzero]
-        values[~nonzero] = self.p_zero()
-        return float(values[0]) if np.isscalar(r) else values
+        return _scaling_factor(r, self.r_prime, self.p_zero)
 
     def report(self, r: float) -> BlochReport:
         r = float(r)
@@ -454,7 +472,7 @@ def _binomial_coefficients(n_in: int) -> np.ndarray:
     return (k - n_in / 2) * s_by_dl[np.abs(n_in - 2 * k)]
 
 
-def _f_n(n_in: int, r: float) -> float:
+def _f_n(n_in: int, r: Union[float, np.ndarray]) -> Union[float, np.ndarray]:
     """``F_N(r) = E[b_K]`` with ``K ~ Bin(N, (1+r)/2)``, in O(sqrt N) per point.
 
     The optimal map has ``r' = (M+2)/M * F_N(r)`` for every ``M >= N``.
@@ -465,7 +483,12 @@ def _f_n(n_in: int, r: float) -> float:
     reductions are ``ndarray.sum``, which no BLAS call sees, so the value
     does not depend on the thread count.  ``F_N(0) = 0`` and
     ``F_N(1) = b_N`` are returned exactly.
+
+    A 1-D array of ``r`` in ``[0, 1]`` gives the array of ``F_N`` at each
+    point (:func:`_f_n_rows`), each entry bit for bit the scalar call's.
     """
+    if isinstance(r, np.ndarray):
+        return _f_n_rows(n_in, r)
     b = _binomial_coefficients(n_in)
     if r == 0.0:
         return 0.0
@@ -483,6 +506,48 @@ def _f_n(n_in: int, r: float) -> float:
         np.cumprod((n_in - up) / (up + 1) * (r_plus / r_minus)),
     ])
     return float((b[lo : hi + 1] * q).sum() / q.sum())
+
+
+def _f_n_rows(n_in: int, rs: np.ndarray) -> np.ndarray:
+    """:func:`_f_n` at each entry of the 1-D array ``rs``, bit for bit.
+
+    Each point gets the scalar call's window, ratios, running products and
+    division, one row per point.  numpy's pairwise ``sum`` adds in an order
+    set by the length it adds, so each row is summed over its own window,
+    never padded: rows of one window length are summed together, in blocks
+    of about 1 MiB, so memory stays O(N).  A row's window ends either
+    ``40 sqrt(N) + 40`` steps from its mode, as far as any row's, or at
+    ``k = 0`` or ``N``; past the latter the index is clipped there, where
+    the ratio is exactly 0, so the running products end in 0 rather than
+    overflow.
+    """
+    b = _binomial_coefficients(n_in)
+    values = np.where(rs == 1.0, b[-1], 0.0)
+    inner = np.flatnonzero((rs != 0.0) & (rs != 1.0))
+    r_plus, r_minus = (1.0 + rs[inner]) / 2.0, (1.0 - rs[inner]) / 2.0
+    fall, rise = (r_minus / r_plus)[:, None], (r_plus / r_minus)[:, None]
+    mode = np.minimum(((n_in + 1) * r_plus).astype(np.int64), n_in)
+    reach = int(40 * math.sqrt(n_in) + 40)
+    lo, hi = np.maximum(mode - reach, 0), np.minimum(mode + reach, n_in)
+    width = hi - lo + 1
+    for size in sorted(set(width.tolist())):
+        same = np.flatnonzero(width == size)
+        step = max(1, (1 << 17) // size)
+        for rows in (same[i : i + step] for i in range(0, same.size, step)):
+            m = mode[rows, None]
+            below, above = int((m[:, 0] - lo[rows]).max()), int((hi[rows] - m[:, 0]).max())
+            down = np.maximum(m - np.arange(below), 0)
+            up = np.minimum(m + np.arange(above), n_in)
+            # column c holds q at k = mode - below + c
+            q_all = np.concatenate(
+                [np.cumprod(down / (n_in - down + 1) * fall[rows], axis=1)[:, ::-1],
+                 np.ones(m.shape), np.cumprod((n_in - up) / (up + 1) * rise[rows], axis=1)],
+                axis=1,
+            )
+            k = lo[rows, None] + np.arange(size)
+            q = q_all[np.arange(rows.size)[:, None], k - (m - below)]
+            values[inner[rows]] = (b[k] * q).sum(axis=1) / q.sum(axis=1)
+    return values
 
 
 def half_spin_scaling_at_zero(n_in: int, m_out: int) -> Fraction:
@@ -602,32 +667,72 @@ def perfect_broadcast_channel(n_in: int, m_out: int, r: float) -> Optional[Chann
 # scaling profiles (the command line's r' and p columns)
 
 
+# Largest N whose M >= N profiles still evaluate the per-sector BlochCurve.
+# The figure2 digest in perfbench/golden.json pins that route's last digits
+# for the N <= 100 it prints, and that digest is the only reason for the cut:
+# the constant goes, with the log-factorial kernel, when the digest is
+# re-taken (ROADMAP.md item 14).
+_SECTOR_ROUTE_MAX_N = 100
+
+
 @dataclass(frozen=True)
 class ScalingProfile:
     """The ``p(r)`` curve of the optimal map for one ``(N, M)`` pair.
 
     ``exhaustive`` is always True: the map is the exact argmax of
     :func:`optimal_map`.
+
+    Two routes evaluate it.  For ``M >= N > 100`` every sector has
+    ``s = -l(M+2)``, so ``r' = (M+2)/M * F_N(r)`` from the batched
+    :func:`_f_n`: O(sqrt N) work per point, O(N) memory, no BLAS call and
+    no float multiplicity, so it answers at ``N = 10^5``; ``p(0)`` is
+    :func:`half_spin_scaling_at_zero` rounded once, the curve's
+    :meth:`BlochCurve.p_zero` bit for bit.  The other pairs evaluate the
+    per-sector :attr:`curve`: those with ``N <= 100`` because the
+    ``figure2`` digest pins that route's last digits, and those with
+    ``M < N`` because their sectors above ``l = M/2`` score
+    ``s = -M(l+1)``, so ``r'`` is no multiple of ``F_N`` (ROADMAP.md
+    item 3).
+
+    ``curve`` is the map's :class:`BlochCurve`, shared with
+    :func:`single_copy_bloch` and built on first access, so the ``F_N``
+    route builds none.  Its float multiplicities overflow past
+    ``N = 1034``, where that access raises ``OverflowError``.
     """
 
     n_in: int
     m_out: int
     emap: ExtremalMap
     exhaustive: bool
-    curve: BlochCurve
+
+    @cached_property
+    def curve(self) -> BlochCurve:
+        return _cached_curve(self.emap)
+
+    @property
+    def _on_curve(self) -> bool:
+        return not self.m_out >= self.n_in > _SECTOR_ROUTE_MAX_N
 
     def r_prime(self, r: Union[float, np.ndarray]) -> Union[float, np.ndarray]:
-        return self.curve.r_prime(r)
+        if self._on_curve:
+            return self.curve.r_prime(r)
+        rr = _bloch_lengths(r)
+        f = _f_n(self.n_in, rr.ravel()).reshape(rr.shape)
+        value = (self.m_out + 2) / self.m_out * f
+        return float(value) if np.isscalar(r) else value
 
     def p(self, r: Union[float, np.ndarray]) -> Union[float, np.ndarray]:
-        return self.curve.p(r)
+        if self._on_curve:
+            return self.curve.p(r)
+        return _scaling_factor(r, self.r_prime, self.p_zero)
 
     def p_zero(self) -> float:
-        return self.curve.p_zero()
+        if self._on_curve:
+            return self.curve.p_zero()
+        return float(half_spin_scaling_at_zero(self.n_in, self.m_out))
 
 
 @lru_cache(maxsize=64)
 def scaling_profile(n_in: int, m_out: int) -> ScalingProfile:
     """Profile of the half-output-spin map, the optimum by :func:`optimal_map`."""
-    emap = conjectured_optimal_map(n_in, m_out)
-    return ScalingProfile(n_in, m_out, emap, True, _cached_curve(emap))
+    return ScalingProfile(n_in, m_out, conjectured_optimal_map(n_in, m_out), True)

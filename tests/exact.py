@@ -45,6 +45,14 @@ Run as a script::
         # its reference SHA-256, whether golden.json pins it, ledger rows
     python tests/exact.py --compare out.csv scaling --n 300 --m 301
         # each cell of a CSV the CLI wrote that differs, and their count
+    python tests/exact.py --golden              # golden.json from the
+        # reference and the ledger: each pinned command's SHA-256 of
+        # its pinned_csv, in golden.json's layout
+
+:func:`pinned_csv` puts a command's ledger cells back into its reference
+table, so ``golden.json`` holds nothing that the reference and the ledger
+do not: a change that mends listed cells deletes their ledger entries and
+writes the output of ``--golden`` to ``golden.json``.
 """
 
 from __future__ import annotations
@@ -408,6 +416,44 @@ def _reference_csv(argv: tuple[str, ...]) -> str:
 KEY_COLUMNS = frozenset({"panel", "n", "m", "r", "input_spin"})
 
 
+def _row_key(cells: list[str], header: list[str]) -> str:
+    """The cells of a CSV row that name it, as the ledger's ``row``."""
+    return ",".join(cell for cell, name in zip(cells, header) if name in KEY_COLUMNS)
+
+
+def pinned_csv(argv) -> str:
+    """:func:`reference_csv` of ``argv`` with each of the command's ledger
+    cells put back to its printed bytes; :class:`ValueError` when a ledger
+    cell is not in the table or does not hold its ``exact`` bytes there."""
+    argv = argv if isinstance(argv, str) else " ".join(argv)
+    ledger = json.loads(LEDGER_PATH.read_text())
+    listed = {(e["row"], e["column"]): e for e in ledger if e["argv"] == argv}
+    lines = reference_csv(argv).splitlines()
+    header = lines[0].split(",")
+    rows = [header]
+    for line in lines[1:]:
+        cells = line.split(",")
+        row = _row_key(cells, header)
+        for i, name in enumerate(header):
+            entry = listed.pop((row, name), None)
+            if entry is not None:
+                if cells[i] != entry["exact"]:
+                    raise ValueError(f"ledger cell {row} {name} of {argv!r} is {cells[i]}")
+                cells[i] = entry["printed"]
+        rows.append(cells)
+    if listed:
+        raise ValueError(f"ledger cells not in the table of {argv!r}: {sorted(listed)}")
+    return "\n".join(",".join(row) for row in rows) + "\n"
+
+
+def golden() -> str:
+    """``golden.json`` as the reference and the ledger give it: the SHA-256
+    of :func:`pinned_csv` for each command that file pins, in its layout."""
+    pinned = json.loads(GOLDEN_PATH.read_text())
+    digests = {argv: hashlib.sha256(pinned_csv(argv).encode()).hexdigest() for argv in pinned}
+    return json.dumps(digests, indent=2) + "\n"
+
+
 def differing_cells(argv, printed: str) -> list[dict]:
     """One ledger entry per cell where the CSV text ``printed`` differs from
     :func:`reference_csv` of ``argv``; :class:`ValueError` when the two
@@ -422,7 +468,7 @@ def differing_cells(argv, printed: str) -> list[dict]:
     for got_row, want_row in zip(got[1:], want[1:]):
         if not len(got_row) == len(want_row) == len(header):
             raise ValueError(f"not the table of {argv!r}: row {','.join(got_row)}")
-        row = ",".join(cell for cell, name in zip(got_row, header) if name in KEY_COLUMNS)
+        row = _row_key(got_row, header)
         cells += [
             {"argv": argv, "row": row, "column": name, "printed": g, "exact": w}
             for name, g, w in zip(header, got_row, want_row)
@@ -470,6 +516,8 @@ def digests() -> list[str]:
 def main(argv: list[str]) -> int:
     if argv == ["--digests"]:
         print("\n".join(digests()))
+    elif argv == ["--golden"]:
+        sys.stdout.write(golden())
     elif argv[:1] == ["--sha256"]:
         print(sha256(argv[1:]))
     elif argv[:1] == ["--compare"] and len(argv) > 2:

@@ -12,6 +12,7 @@ from numpy.testing import assert_allclose
 
 import exact
 from brute_force import enumerate_extremal
+from superbroadcast import analysis
 from superbroadcast.analysis import (
     FAST_KERNEL_MAX_SIZE,
     FAST_KERNEL_MIN_SIZE,
@@ -501,7 +502,8 @@ def test_f_n_matches_the_adjacent_curve():
     rs = np.arange(1, 65) / 64
     large = [c + d for c in (84, 108, 136, 168, 200) for d in range(-2, 3)]
     for n in sorted({*range(1, 67), *range(70, 203, 10), *large}):
-        curve = scaling_profile(n, n + 1).r_prime(rs) * (n + 1) / (n + 3)
+        # .curve, not the profile, which from N = 101 on evaluates F_N itself
+        curve = scaling_profile(n, n + 1).curve.r_prime(rs) * (n + 1) / (n + 3)
         assert_allclose([_f_n(n, r) for r in rs], curve, rtol=1e-12, atol=0, err_msg=f"N={n}")
 
 
@@ -528,6 +530,70 @@ def test_f_n_window_matches_full_range_sum():
             pmf = np.exp(log_pmf - log_pmf.max())
             full = (b * pmf).sum() / pmf.sum()
             assert_allclose(_f_n(n, r), full, rtol=1e-9, err_msg=f"N={n}, r={r}")
+
+
+@pytest.mark.parametrize("n", [101, 202, 1030, 1700, 5000, 10**5])
+def test_batched_f_n_equals_scalar_calls_bit_for_bit(n):
+    # from N = 1650 on the windows of 40 sqrt(N) + 40 steps part from [0, N]
+    # and differ in length from point to point; a padded row sum would differ
+    rng = np.random.default_rng(n)
+    rs = np.concatenate([
+        np.linspace(0.0, 1.0, 41),
+        rng.random(40),
+        1.0 - 10.0 ** -rng.uniform(1, 15, 12),
+        10.0 ** -rng.uniform(1, 15, 6),
+        [np.nextafter(1.0, 0.0), 5e-324],
+    ])
+    got = _f_n(n, rs)
+    assert got.shape == rs.shape
+    want = [_f_n(n, float(r)) for r in rs]
+    assert [float(v).hex() for v in got] == [v.hex() for v in want]
+
+
+def test_profiles_past_the_sector_route_build_no_curve(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("built a BlochCurve")
+
+    analysis.scaling_profile.cache_clear()
+    monkeypatch.setattr(analysis, "_cached_curve", refuse)
+    monkeypatch.setattr(BlochCurve, "__init__", refuse)
+    grid = np.linspace(0.0, 1.0, 11)
+    for n, m in [(101, 101), (101, 102), (150, 449), (1100, 1101), (10**5, 10**5 + 1)]:
+        profile = scaling_profile(n, m)
+        assert profile.r_prime(grid)[0] == 0.0
+        assert profile.p(grid)[0] == profile.p_zero() == float(half_spin_scaling_at_zero(n, m))
+        assert profile.r_prime(1.0) == (m + 2) / m * float(_binomial_coefficients(n)[-1])
+    # N <= 100 and M < N still take the per-sector curve
+    for n, m in [(100, 101), (120, 119)]:
+        with pytest.raises(AssertionError, match="built a BlochCurve"):
+            scaling_profile(n, m).p(0.5)
+    analysis.scaling_profile.cache_clear()
+
+
+def test_profiles_past_the_sector_route_match_their_curve():
+    rs = np.concatenate([np.linspace(0.0, 1.0, 33), [0.07, 0.99, 1.0 - 1e-6]])
+    for n in range(101, 203):
+        for m in (n, n + 1) if n % 10 else (n, n + 1, 2 * n + 1):
+            profile = scaling_profile(n, m)
+            curve = profile.curve
+            assert_allclose(profile.r_prime(rs), curve.r_prime(rs), rtol=1e-12, atol=0)
+            assert_allclose(profile.p(rs), curve.p(rs), rtol=1e-12, atol=0)
+            assert profile.p_zero() == curve.p_zero()
+
+
+def test_profiles_past_the_sector_route_validate_and_keep_scalars():
+    profile = scaling_profile(150, 151)
+    for bad in (math.nan, -0.1, 1.5, [0.3, math.nan], np.array([0.2, np.nextafter(1.0, 2.0)])):
+        with pytest.raises(ValueError, match="outside"):
+            profile.r_prime(bad)
+        with pytest.raises(ValueError, match="outside"):
+            profile.p(bad)
+    for r in (0.0, 0.3, 1.0, np.float64(0.3)):
+        assert type(profile.r_prime(r)) is float
+        assert type(profile.p(r)) is float
+    assert type(profile.p_zero()) is float
+    assert profile.r_prime(0.3) == profile.r_prime(np.array([0.3]))[0]
+    assert profile.r_prime([0.3, 0.6]).shape == (2,)
 
 
 @pytest.mark.parametrize("coupled", [HalfInt(9), HalfInt(4)], ids=["too-large", "wrong-parity"])

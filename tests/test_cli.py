@@ -13,6 +13,7 @@ from pathlib import Path
 
 import pytest
 
+import exact
 from superbroadcast import analysis, channels, cli
 from superbroadcast.analysis import _f_n
 from superbroadcast.cli import (
@@ -200,6 +201,7 @@ CORNERS = [
     ("scaling --n 1040 --m 2 --steps 2", 2),
     ("scaling --n 12 --m 1000000 --steps 3", 0),
     ("scaling --n 1030 --m 1031 --steps 3", 0),
+    ("scaling --n 100000 --m 100001 --steps 3", 0),
     ("threshold --n 100000 --m 100001", 0),
     ("mstar --n 100000", 0),
     ("optimal-map --n 1100 --m 1101", 0),
@@ -312,11 +314,15 @@ def test_cli_invalid_arguments_exit_2(tmp_path):
     assert run_cli("mstar", "--n", "4", "--cap", "3").returncode == 2  # M*(4) is bounded
     assert run_cli("verify", "--n", "2", "--m", "3", "--inject-fault").returncode == 2
     # sizes whose multiplicities overflow a float exit cleanly, no traceback
-    # (thresholds use no multiplicity; the per-sector curves still do)
-    huge = run_cli("scaling", "--n", "1100", "--m", "1101")
+    # (thresholds and M >= N curves use no multiplicity; M < N curves still do)
+    huge = run_cli("scaling", "--n", "2000", "--m", "10")
     assert huge.returncode == 2
     assert "Traceback" not in huge.stderr
+    assert "int too large to convert to float" in huge.stderr
     assert run_cli("threshold", "--n", "1100", "--m", "1101").returncode == 0
+    past = run_cli("scaling", "--n", "1100", "--m", "1101", "--steps", "11")
+    assert past.returncode == 0
+    assert past.stdout == exact.reference_csv("scaling --n 1100 --m 1101 --steps 11")
     # a 7 TiB grid: numpy refuses the allocation up front, nothing is allocated
     grid = run_cli("scaling", "--n", "4", "--m", "5", "--steps", "1000000000000")
     assert grid.returncode == 2

@@ -136,3 +136,26 @@ def test_digests_report_every_reference_command(capsys):
         rows = sum(entry["argv"] == argv for entry in LEDGER)
         state = "equals" if exact.sha256(argv) == pinned else "differs from"
         assert line == f"{argv}: reference {exact.sha256(argv)} {state} golden.json; {rows} ledger rows"
+
+
+def test_golden_json_is_the_reference_with_the_ledger_put_back(capsys):
+    # golden.json holds nothing that the reference and the ledger do not, so
+    # a change that mends listed cells deletes them and re-takes the file
+    # with --golden
+    assert exact.main(["--golden"]) == 0
+    assert capsys.readouterr().out == exact.GOLDEN_PATH.read_text()
+
+
+@pytest.mark.parametrize("argv", sorted(GOLDEN))
+def test_pinned_csv_is_what_the_cli_prints(argv, tmp_path):
+    assert exact.pinned_csv(argv) == _printed(argv, tmp_path)
+
+
+def test_pinned_csv_rejects_a_ledger_cell_it_cannot_place(tmp_path, monkeypatch):
+    entry = next(entry for entry in LEDGER if entry["argv"] == "threshold --n 4 --m 5")
+    for changed in ({"row": "4,6"}, {"exact": entry["printed"]}):
+        ledger = tmp_path / "ledger.json"
+        ledger.write_text(json.dumps([{**entry, **changed}]))
+        monkeypatch.setattr(exact, "LEDGER_PATH", ledger)
+        with pytest.raises(ValueError, match="ledger cell"):
+            exact.pinned_csv("threshold --n 4 --m 5")

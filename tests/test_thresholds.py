@@ -210,7 +210,8 @@ def test_r_prime_factorizes_over_outputs():
     rs = np.linspace(0.05, 1.0, 20)
     for n in (4, 5, 12, 40):
         curves = [
-            scaling_profile(n, m).r_prime(rs) * m / (m + 2) for m in (n, n + 1, 2 * n, 5 * n)
+            scaling_profile(n, m).curve.r_prime(rs) * m / (m + 2)
+            for m in (n, n + 1, 2 * n, 5 * n)
         ]
         for curve in curves[1:]:
             assert np.allclose(curve, curves[0], rtol=1e-13, atol=0.0)
@@ -448,7 +449,8 @@ def test_r_star_matches_uncached_scan():
     # and every pair figure3 bisects
     pairs += [(4, 7), (5, 21)] + [(n, m) for n in range(6, 13) for m in (1024, 2048)]
     for n, m in pairs:
-        profile = scaling_profile(n, m)
+        # the per-sector curve, not F_N, which the profile takes from N = 101
+        profile = scaling_profile(n, m).curve
         ps = profile.p(grid)
         above = ps >= 1.0
         crossings = np.flatnonzero(above[:-1] & ~above[1:])
@@ -469,11 +471,12 @@ def test_scaling_factor_never_increases_on_grid():
     # (test_r_prime_factorizes_over_outputs), so one M per N covers every
     # pair: p - 1 changes sign at most once, which r_star's bisection needs.
     # Every N up to 66 (the CLI's defaults and the benchmark's N ~ 64), and
-    # each N the large-n-thresholds benchmark draws around 84, ..., 200.
+    # each N the large-n-thresholds benchmark draws around 84, ..., 200, on
+    # the per-sector curve.
     grid = np.arange(GRID_STEPS + 1) / GRID_STEPS
     large = [c + d for c in (84, 108, 136, 168, 200) for d in range(-2, 3)]
     for n in [*range(1, 67), *large]:
-        steps = np.diff(scaling_profile(n, n + 1).p(grid))
+        steps = np.diff(scaling_profile(n, n + 1).curve.p(grid))
         assert np.max(steps) <= 1e-12, f"p rises by {np.max(steps)} at N={n}"
     # on to N = 10^5 through F_N itself, where the root sits at a gap
     # 1 - r* ~ 2/N^2 far inside the last cell
