@@ -29,9 +29,9 @@ in anti-stretched sectors ``J = |j - l|`` of size ``FAST_KERNEL_MIN_SIZE
 <= 2j + 2l <= FAST_KERNEL_MAX_SIZE`` (24 to 201), where a log-factorial
 kernel stays because the reference digests in ``perfbench/golden.json`` pin
 its last-digit rounding of the figure-2 table; 201 is the largest such
-sector that table builds.  It builds only each square's nonzero band, with
-the per-entry operation order of the index-gather form those digests were
-taken with, so it keeps every bit in about one matrix of memory.  The
+sector that table builds.  It builds only each square's nonzero band, in
+one pass, with the per-entry operation order of the index-gather form
+those digests were taken with, so it keeps every bit.  The
 dense-matrix oracle in :mod:`superbroadcast.oracle` checks both against
 explicit output states.
 
@@ -169,18 +169,8 @@ def input_weights(n_in: int, r: float) -> InputWeights:
 # per-sector Clebsch-Gordan moments
 
 
-_LOG_FACTORIALS = np.zeros(1)
-
-
-def _log_factorials(n: int) -> np.ndarray:
-    """Table ``t`` with ``t[k] = ln k!`` for ``k <= n`` (grows on demand)."""
-    global _LOG_FACTORIALS
-    if n >= _LOG_FACTORIALS.size:
-        size = max(n + 1, 2 * _LOG_FACTORIALS.size, 256)
-        _LOG_FACTORIALS = np.concatenate(
-            [[0.0], np.cumsum(np.log(np.arange(1, size, dtype=float)))]
-        )
-    return _LOG_FACTORIALS
+# ``ln k!`` for ``k < 256``; the kernel window reads ``k <= FAST_KERNEL_MAX_SIZE + 1``.
+_LOG_FACTORIALS = np.concatenate([[0.0], np.cumsum(np.log(np.arange(1, 256, dtype=float)))])
 
 
 def _sector_score(dl: int, dj: int, dJ: int) -> int:
@@ -213,13 +203,14 @@ def _moments_fast(dl: int, dj: int, dJ: int) -> tuple[np.ndarray, np.ndarray]:
     ``0 <= k <= dJ``.  Indexed by (small-side index, ``k``) every operand is
     a view, so each band entry takes the operations of the index-gather form
     in ``tests/test_moments_kernel.py`` in the same order and the bits pinned
-    by the ``figure2`` digest hold.  Chunks of at most 1 MiB go through a
-    sheared view into the one C-ordered square, whose zeros off the band
-    numpy's pairwise row sums need.
+    by the ``figure2`` digest hold.  The band is written in one pass through
+    a sheared view into the one C-ordered square, whose zeros off the band
+    numpy's pairwise row sums need.  Sectors past ``FAST_KERNEL_MAX_SIZE``
+    raise ValueError.
     """
-    if dJ != abs(dj - dl):
-        raise ValueError("fast kernel requires the anti-stretched coupling J = |j - l|")
-    t = _log_factorials(dj + dl + 2)
+    if dJ != abs(dj - dl) or dj + dl > FAST_KERNEL_MAX_SIZE:
+        raise ValueError("fast kernel serves anti-stretched J = |j - l| with 2j + 2l <= 201")
+    t = _LOG_FACTORIALS
     small, big = min(dl, dj), max(dl, dj)
     c = math.log(dJ + 1) + t[small] + t[dJ] - t[big + 1]
     big_side = (c + t[: big + 1]) + t[big::-1]
@@ -230,13 +221,11 @@ def _moments_fast(dl: int, dj: int, dJ: int) -> tuple[np.ndarray, np.ndarray]:
     along, across = (dj + 1, 1) if dj >= dl else (1, small + 1)
     strides = ((along - across) * 8, across * 8)
     band = np.ndarray(toeplitz.shape, float, square, small * across * 8, strides)
-    step = max(1, (1 << 17) // (dJ + 1))  # chunks of at most 1 MiB
-    for rows in (slice(s, s + step) for s in range(0, small + 1, step)):
-        chunk = np.subtract(toeplitz[rows], up[rows])
-        chunk -= down[rows]
-        chunk -= t[: dJ + 1]
-        chunk -= t[dJ::-1]
-        band[rows] = np.exp(chunk, out=chunk)
+    log_band = np.subtract(toeplitz, up)
+    log_band -= down
+    log_band -= t[: dJ + 1]
+    log_band -= t[dJ::-1]
+    band[...] = np.exp(log_band, out=log_band)
     mass = square.sum(axis=1)
     square *= np.arange(-dj, dj + 1, 2.0)
     pol = square.sum(axis=1)
@@ -274,15 +263,15 @@ def _bloch_lengths(r: Union[float, np.ndarray]) -> np.ndarray:
 
 def _scaling_factor(r, r_prime, p_zero) -> Union[float, np.ndarray]:
     """``r_prime(r)/r`` at each ``r``, one batch for every nonzero ``r``, and
-    ``p_zero()`` at ``r = 0``; a float for a scalar ``r``."""
-    rr = np.atleast_1d(np.asarray(r, dtype=float))
+    ``p_zero()`` at ``r = 0``; a float for a scalar ``r``, else the shape of ``r``."""
+    rr = np.asarray(r, dtype=float)
     values = np.empty_like(rr)
     nonzero = rr != 0
     if np.any(nonzero):
         values[nonzero] = r_prime(rr[nonzero]) / rr[nonzero]
     if not np.all(nonzero):
         values[~nonzero] = p_zero()
-    return float(values[0]) if np.isscalar(r) else values
+    return float(values) if np.isscalar(r) else values
 
 
 @dataclass(frozen=True)
@@ -368,10 +357,15 @@ class BlochCurve:
         return _scaling_factor(r, self.r_prime, self.p_zero)
 
     def report(self, r: float) -> BlochReport:
-        r = float(r)
-        r_prime = float(self.r_prime(r))
-        p = r_prime / r if r > 0 else self.p_zero()
-        return BlochReport(r=r, r_prime=r_prime, p=p)
+        return _report(self, r)
+
+
+def _report(curve: Union[BlochCurve, ScalingProfile], r: float) -> BlochReport:
+    """Bloch data at ``r`` from a curve or a profile's ``r_prime`` and ``p_zero``."""
+    r = float(r)
+    r_prime = float(curve.r_prime(r))
+    p = r_prime / r if r > 0 else curve.p_zero()
+    return BlochReport(r=r, r_prime=r_prime, p=p)
 
 
 @lru_cache(maxsize=512)
@@ -472,7 +466,7 @@ def _binomial_coefficients(n_in: int) -> np.ndarray:
     return (k - n_in / 2) * s_by_dl[np.abs(n_in - 2 * k)]
 
 
-def _f_n(n_in: int, r: Union[float, np.ndarray]) -> Union[float, np.ndarray]:
+def _f_n(n_in: int, r: float) -> float:
     """``F_N(r) = E[b_K]`` with ``K ~ Bin(N, (1+r)/2)``, in O(sqrt N) per point.
 
     The optimal map has ``r' = (M+2)/M * F_N(r)`` for every ``M >= N``.
@@ -482,13 +476,9 @@ def _f_n(n_in: int, r: Union[float, np.ndarray]) -> Union[float, np.ndarray]:
     ``e^-3200``), and dividing by ``sum q`` normalizes it exactly.  The
     reductions are ``ndarray.sum``, which no BLAS call sees, so the value
     does not depend on the thread count.  ``F_N(0) = 0`` and
-    ``F_N(1) = b_N`` are returned exactly.
-
-    A 1-D array of ``r`` in ``[0, 1]`` gives the array of ``F_N`` at each
-    point (:func:`_f_n_rows`), each entry bit for bit the scalar call's.
+    ``F_N(1) = b_N`` are returned exactly.  :func:`_f_n_rows` is the same
+    sum over an array of points.
     """
-    if isinstance(r, np.ndarray):
-        return _f_n_rows(n_in, r)
     b = _binomial_coefficients(n_in)
     if r == 0.0:
         return 0.0
@@ -609,15 +599,16 @@ def optimal_map(n_in: int, m_out: int, r: float) -> OptimalMapResult:
     ``j = M/2``, ``J = |M/2 - l|`` (``s = -l(M+2)`` for ``l <= M/2``).
     At ``l = 0`` every choice scores 0, and the tie goes to the
     half-output-spin choice ``j = J = M/2``.  The map is therefore
-    :func:`superbroadcast.channels.conjectured_optimal_map`.
+    :func:`superbroadcast.channels.conjectured_optimal_map`, and its report
+    comes from :func:`scaling_profile`, so it answers past ``N = 1034``.
     """
     r = float(r)
     if not 0.0 <= r <= 1.0:
         raise ValueError(f"Bloch length {r} outside [0, 1]")
-    best = conjectured_optimal_map(n_in, m_out)
+    profile = scaling_profile(n_in, m_out)
     return OptimalMapResult(
-        best_map=best,
-        report=single_copy_bloch(best, r),
+        best_map=profile.emap,
+        report=_report(profile, r),
         matches_conjecture=True,
         exhaustive=True,
         candidates=extremal_count(n_in, m_out),
@@ -682,17 +673,18 @@ class ScalingProfile:
     ``exhaustive`` is always True: the map is the exact argmax of
     :func:`optimal_map`.
 
-    Two routes evaluate it.  For ``M >= N > 100`` every sector has
-    ``s = -l(M+2)``, so ``r' = (M+2)/M * F_N(r)`` from the batched
-    :func:`_f_n`: O(sqrt N) work per point, O(N) memory, no BLAS call and
-    no float multiplicity, so it answers at ``N = 10^5``; ``p(0)`` is
+    Two routes evaluate ``r_prime`` and ``p_zero``, and ``p`` is their
+    ratio on either.  For ``M >= N > 100`` every sector has
+    ``s = -l(M+2)``, so ``r' = (M+2)/M * F_N(r)`` from :func:`_f_n_rows`:
+    O(sqrt N) work per point, O(N) memory, no BLAS call and no float
+    multiplicity, so it answers at ``N = 10^5``; ``p(0)`` is
     :func:`half_spin_scaling_at_zero` rounded once, the curve's
     :meth:`BlochCurve.p_zero` bit for bit.  The other pairs evaluate the
-    per-sector :attr:`curve`: those with ``N <= 100`` because the
-    ``figure2`` digest pins that route's last digits, and those with
-    ``M < N`` because their sectors above ``l = M/2`` score
-    ``s = -M(l+1)``, so ``r'`` is no multiple of ``F_N`` (ROADMAP.md
-    item 3).
+    per-sector :attr:`curve` (its own ``p`` is the same ratio, bit for bit):
+    those with ``N <= 100`` because the ``figure2`` digest pins that
+    route's last digits, and those with ``M < N`` because their sectors
+    above ``l = M/2`` score ``s = -M(l+1)``, so ``r'`` is no multiple of
+    ``F_N`` (ROADMAP.md item 3).
 
     ``curve`` is the map's :class:`BlochCurve`, shared with
     :func:`single_copy_bloch` and built on first access, so the ``F_N``
@@ -717,13 +709,11 @@ class ScalingProfile:
         if self._on_curve:
             return self.curve.r_prime(r)
         rr = _bloch_lengths(r)
-        f = _f_n(self.n_in, rr.ravel()).reshape(rr.shape)
-        value = (self.m_out + 2) / self.m_out * f
+        value = _f_n_rows(self.n_in, rr.ravel()).reshape(rr.shape)
+        value *= (self.m_out + 2) / self.m_out
         return float(value) if np.isscalar(r) else value
 
     def p(self, r: Union[float, np.ndarray]) -> Union[float, np.ndarray]:
-        if self._on_curve:
-            return self.curve.p(r)
         return _scaling_factor(r, self.r_prime, self.p_zero)
 
     def p_zero(self) -> float:

@@ -11,7 +11,8 @@ correctness evidence.
 twice, whatever the number of probes: once by one count of its nonzero
 entries plus the gathers of its diagonal blocks of equal charge, which the
 Hermiticity and positivity checks then read alone when the count certifies
-that nothing lies outside them, and once by the covariance contraction.
+that nothing lies outside them (else they read all of ``S``), and once by
+the covariance contraction.
 The trace-preservation check and the probe marginals read diagonal slices.
 Positivity eigensolves one block of each mirror pair of charge blocks when
 the operator is invariant under the collective pi rotation, as every
@@ -476,24 +477,19 @@ class VerificationReport:
         raise KeyError(name)
 
 
-def _charge_blocks(choi: DenseOperator) -> tuple[list[np.ndarray], Optional[np.ndarray]]:
-    """The ``L+1`` diagonal blocks of equal charge, and the rest of ``S``.
+def _charge_blocks(choi: DenseOperator) -> Optional[list[np.ndarray]]:
+    """The ``L+1`` diagonal blocks of equal charge, when they hold all of ``S``.
 
     A covariant Choi operator conserves total ``J_z``, which on joint basis
     states is fixed by the popcount of the index, so it is block diagonal
-    in the blocks of equal popcount.  Each block is gathered once.  The rest
-    is ``None`` when ``S`` has no nonzero entry outside the blocks, which
-    one exact count decides: its nonzero entries number exactly those of
-    the blocks.  Otherwise it is ``S`` with the blocks zeroed.
+    in the blocks of equal popcount.  Each block is gathered once.  One
+    exact count certifies that nothing lies outside them: the nonzero
+    entries of ``S`` number exactly those of the blocks.  Without that
+    certificate the result is ``None``.
     """
-    bands = _charge_bands(choi.shape[0].bit_length() - 1)
-    blocks = [choi[band] for band in bands]
-    if np.count_nonzero(choi) == sum(np.count_nonzero(block) for block in blocks):
-        return blocks, None
-    rest = choi.copy()
-    for band in bands:
-        rest[band] = 0.0
-    return blocks, rest
+    blocks = [choi[band] for band in _charge_bands(choi.shape[0].bit_length() - 1)]
+    certified = np.count_nonzero(choi) == sum(np.count_nonzero(block) for block in blocks)
+    return blocks if certified else None
 
 
 @lru_cache(maxsize=None)
@@ -507,20 +503,15 @@ def _charge_bands(n_qubits: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
     return tuple(np.ix_(band, band) for band in bands)
 
 
-def _skew_deviation(blocks: list[np.ndarray], rest: Optional[np.ndarray]) -> float:
-    """``max |S - S^H|`` from :func:`_charge_blocks`: an entry and its
-    transpose share a block or both lie in the rest, so this is exact."""
-    parts = blocks if rest is None else [*blocks, rest]
-    return float(np.max([np.max(np.abs(part - part.conj().T)) for part in parts]))
+def _skew_deviation(blocks: list[np.ndarray]) -> float:
+    """``max |S - S^H|`` over the blocks of :func:`_charge_blocks`, or over ``[S]``."""
+    return float(np.max([np.max(np.abs(block - block.conj().T)) for block in blocks]))
 
 
-def _positivity_deviation(blocks: list[np.ndarray], rest: Optional[np.ndarray]) -> float:
-    """Upper bound on ``max(0, -lambda_min)`` from :func:`_charge_blocks`.
-
-    By Weyl's inequality the smallest eigenvalue is at least the smallest
-    block eigenvalue minus the spectral norm of the rest, and that norm is
-    at most its largest absolute row or column sum.  The bound is exact
-    when the rest vanishes.
+def _positivity_deviation(blocks: list[np.ndarray]) -> float:
+    """``max(0, -lambda_min)`` of ``S`` from the blocks of
+    :func:`_charge_blocks`, whose spectra together are that of ``S``, or
+    from ``[S]`` itself, eigensolved whole.
 
     Blocks are eigensolved in mirror pairs ``(k, L-k)``.  Complementing
     every bit, the collective pi rotation ``X^{(x) L}``, maps block ``k``
@@ -536,11 +527,7 @@ def _positivity_deviation(blocks: list[np.ndarray], rest: Optional[np.ndarray]) 
         lowest = min(lowest, float(np.linalg.eigvalsh(near)[0]))
         if far is not near and not np.array_equal(far, near[::-1, ::-1]):
             lowest = min(lowest, float(np.linalg.eigvalsh(far)[0]))
-    off_block = 0.0
-    if rest is not None:
-        magnitude = np.abs(rest)
-        off_block = float(max(magnitude.sum(axis=0).max(), magnitude.sum(axis=1).max()))
-    return max(0.0, off_block - lowest)
+    return max(0.0, -lowest)
 
 
 def verify_closed_form(
@@ -562,9 +549,10 @@ def verify_closed_form(
 
     The Choi operator ``S`` is read whole twice: :func:`_charge_blocks`
     gathers its charge blocks once for the Hermiticity and positivity
-    checks, which read nothing else when its nonzero count certifies a zero
-    rest, and the covariance check contracts its reference and both rotated
-    inputs together, after the blocks are released.  The probe marginals
+    checks, which read nothing else when its nonzero count certifies that
+    nothing lies outside them (else they read all of ``S``, as exactly), and
+    the covariance check contracts its reference and both rotated inputs
+    together, after the blocks are released.  The probe marginals
     at output positions ``0``, ``M//2`` and ``M-1`` come from one reduced
     Choi operator per position (the trace over the other outputs done
     first), each contracted with the stack of all probe inputs; their
@@ -591,10 +579,10 @@ def verify_closed_form(
         coefficients = coefficients_for(emap)
     choi = build_choi(coefficients)
 
-    blocks, rest = _charge_blocks(choi)
-    hermitian_dev = _skew_deviation(blocks, rest)
-    psd_dev = _positivity_deviation(blocks, rest)
-    del blocks, rest
+    blocks = _charge_blocks(choi) or [choi]  # uncertified blocks: all of S at once
+    hermitian_dev = _skew_deviation(blocks)
+    psd_dev = _positivity_deviation(blocks)
+    del blocks
     choi4 = choi.reshape(2**m_out, 2**n_in, 2**m_out, 2**n_in)
     trace_out = np.einsum("aiaj->ij", choi4)
     tp_dev = float(np.max(np.abs(trace_out - np.eye(2**n_in))))

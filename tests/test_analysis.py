@@ -20,6 +20,7 @@ from superbroadcast.analysis import (
     _alpha_polarization,
     _binomial_coefficients,
     _f_n,
+    _f_n_rows,
     _moments_fast,
     _most_depolarizing_map,
     _polarization,
@@ -236,14 +237,18 @@ def test_log_factorial_kernel_matches_alpha():
             if dj + dl < FAST_KERNEL_MIN_SIZE:
                 continue
             dJ = abs(dj - dl)
+            if dj + dl > FAST_KERNEL_MAX_SIZE:
+                # the exact alpha moments past the kernel's window
+                used = _alpha_polarization(dl, dj, dJ)
+                assert _polarization(dl, dj, dJ).tobytes() == used.tobytes(), (dl, dj)
+                continue
             mass, pol = _moments_fast(dl, dj, dJ)
             # each moment sums terms up to mass * 2j in size, which sets its rounding
             atol = 1e-14 * (dJ + 1) / (dl + 1) * max(dj, 1)
             assert_allclose(pol, _alpha_polarization(dl, dj, dJ), rtol=1e-11, atol=atol)
             assert_allclose(mass, (dJ + 1) / (dl + 1), rtol=1e-11)
-            # the kernel's bits inside its window, the exact alpha moments past it
-            used = pol if dj + dl <= FAST_KERNEL_MAX_SIZE else _alpha_polarization(dl, dj, dJ)
-            assert _polarization(dl, dj, dJ).tobytes() == used.tobytes(), (dl, dj)
+            # the kernel's bits inside its window
+            assert _polarization(dl, dj, dJ).tobytes() == pol.tobytes(), (dl, dj)
 
 
 def test_convex_evaluation_matches_extremal():
@@ -544,7 +549,7 @@ def test_batched_f_n_equals_scalar_calls_bit_for_bit(n):
         10.0 ** -rng.uniform(1, 15, 6),
         [np.nextafter(1.0, 0.0), 5e-324],
     ])
-    got = _f_n(n, rs)
+    got = _f_n_rows(n, rs)
     assert got.shape == rs.shape
     want = [_f_n(n, float(r)) for r in rs]
     assert [float(v).hex() for v in got] == [v.hex() for v in want]
@@ -594,6 +599,39 @@ def test_profiles_past_the_sector_route_validate_and_keep_scalars():
     assert type(profile.p_zero()) is float
     assert profile.r_prime(0.3) == profile.r_prime(np.array([0.3]))[0]
     assert profile.r_prime([0.3, 0.6]).shape == (2,)
+
+
+@pytest.mark.parametrize("n", [50, 150])
+def test_profile_and_curve_values_keep_the_input_shape(n):
+    # N = 50 takes the per-sector curve, N = 150 the F_N route
+    profile = scaling_profile(n, n + 1)
+    grid = np.array([[0.0, 0.3, 0.6], [0.9, 1.0, 0.45]])
+    for method in (profile.r_prime, profile.p, profile.curve.r_prime, profile.curve.p):
+        assert type(method(0.3)) is float
+        zero_d = method(np.array(0.3))
+        assert type(zero_d) is np.ndarray and zero_d.shape == ()
+        assert float(zero_d) == method(0.3)
+        assert method(grid[0]).shape == (3,)
+        assert method(grid).shape == (2, 3)
+        assert_allclose(method(grid), [method(row) for row in grid], rtol=1e-13, atol=0)
+
+
+def test_optimal_map_answers_past_the_curve_range():
+    # M >= N > 100 takes its report from the F_N profile, so no multiplicity
+    # turns into a float; at N = 1100 the per-sector curve overflows
+    for n in (1100, 10**5):
+        profile = scaling_profile(n, n + 1)
+        result = optimal_map(n, n + 1, 0.5)
+        assert result.best_map == profile.emap
+        assert result.report.r_prime == profile.r_prime(0.5)
+        assert result.report.p == profile.r_prime(0.5) / 0.5 > 1.0
+        assert optimal_map(n, n + 1, 0.0).report.p == profile.p_zero()
+    with pytest.raises(OverflowError):
+        BlochCurve(conjectured_optimal_map(1100, 1101))
+    # the other pairs keep the cached curve's report, bit for bit
+    for n, m, r in [(5, 9, 0.0), (100, 101, 0.3), (120, 119, 0.7)]:
+        report = optimal_map(n, m, r).report
+        assert report == single_copy_bloch(conjectured_optimal_map(n, m), r)
 
 
 @pytest.mark.parametrize("coupled", [HalfInt(9), HalfInt(4)], ids=["too-large", "wrong-parity"])

@@ -5,27 +5,22 @@
 ``figure2`` digest pins the last bits of its output, so the rewrite, which
 computes only the nonzero band ``|n + m| <= J`` of each square in sheared
 views, must repeat its per-entry IEEE operations in the same order and
-leave exact zeros off the band.
+leave exact zeros off the band.  Both read the one log-factorial table,
+``analysis._LOG_FACTORIALS``.
 """
 
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
 
 from superbroadcast import analysis, cli
-from superbroadcast.analysis import (
-    FAST_KERNEL_MAX_SIZE,
-    BlochCurve,
-    _log_factorials,
-    _moments_fast,
-)
+from superbroadcast.analysis import FAST_KERNEL_MAX_SIZE, BlochCurve, _moments_fast
 from superbroadcast.channels import conjectured_optimal_map
 
 
 def _index_gather_moments(dl, dj, dJ):
-    table = _log_factorials(dj + dl + 2)
+    table = analysis._LOG_FACTORIALS
     dm = np.arange(-dj, dj + 1, 2)
     dn = np.arange(-dl, dl + 1, 2)
     dmt = dn[:, None] + dm[None, :]
@@ -56,7 +51,8 @@ def _index_gather_moments(dl, dj, dJ):
     return mass, pol
 
 
-# both branches (dj >= dl and dj < dl), both parities of dl + dj, sizes to 300
+# both branches (dj >= dl and dj < dl), both parities of dl + dj, sizes to
+# 201 inside the window and past it
 _SIDES = (0, 1, 2, 3, 5, 8, 12, 13, 24, 31, 47, 64, 99, 150, 151, 200, 299)
 
 
@@ -64,10 +60,24 @@ _SIDES = (0, 1, 2, 3, 5, 8, 12, 13, 24, 31, 47, 64, 99, 150, 151, 200, 299)
 def test_moments_bits_match_index_gather_kernel(dl):
     for dj in _SIDES:
         dJ = abs(dj - dl)
+        if dl + dj > FAST_KERNEL_MAX_SIZE:
+            # past the window no caller asks, and the table is not read
+            with pytest.raises(ValueError, match="2j \\+ 2l <= 201"):
+                _moments_fast(dl, dj, dJ)
+            continue
         mass, pol = _moments_fast(dl, dj, dJ)
         ref_mass, ref_pol = _index_gather_moments(dl, dj, dJ)
         assert mass.tobytes() == ref_mass.tobytes(), (dl, dj)
         assert pol.tobytes() == ref_pol.tobytes(), (dl, dj)
+
+
+def test_log_factorial_table_is_built_once_and_covers_the_window():
+    # the table the growing form built on its first call, byte for byte;
+    # the window reads index FAST_KERNEL_MAX_SIZE + 1 at most
+    table = np.concatenate([[0.0], np.cumsum(np.log(np.arange(1, 256, dtype=float)))])
+    assert analysis._LOG_FACTORIALS.tobytes() == table.tobytes()
+    assert analysis._LOG_FACTORIALS.size > FAST_KERNEL_MAX_SIZE + 1
+    assert not hasattr(analysis, "_log_factorials")
 
 
 def test_curve_coefficient_bits_match_index_gather_kernel(monkeypatch):
@@ -82,40 +92,10 @@ def test_curve_coefficient_bits_match_index_gather_kernel(monkeypatch):
     assert hankel == gather
 
 
-def test_moments_peak_memory_is_about_one_matrix():
-    dl, dj = 24, 10**5
-    dJ = dj - dl
-    _log_factorials(dl + dj + 2)  # table growth is not the kernel's cost
-    tracemalloc.start()
-    try:
-        _moments_fast(dl, dj, dJ)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 2 * (dl + 1) * (dj + 1) * 8
-
-
-@pytest.mark.parametrize("dl, dj", [(24, 10**5), (10**5, 24)])
-def test_moments_peak_memory_is_one_matrix_plus_chunks(dl, dj):
-    # the band is built in chunks of at most 1 MiB, in either orientation
-    dJ = abs(dj - dl)
-    _log_factorials(dl + dj + 2)
-    tracemalloc.start()
-    try:
-        _moments_fast(dl, dj, dJ)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= (dl + 1) * (dj + 1) * 8 + 8 * 2**20
-
-
 def test_corrupted_log_factorials_fail_the_mass_check(monkeypatch):
-    def corrupted(n):
-        table = _log_factorials(n).copy()
-        table[3] += 1e-3
-        return table
-
-    monkeypatch.setattr(analysis, "_log_factorials", corrupted)
+    corrupted = analysis._LOG_FACTORIALS.copy()
+    corrupted[3] += 1e-3
+    monkeypatch.setattr(analysis, "_LOG_FACTORIALS", corrupted)
     with pytest.raises(ArithmeticError, match="lost mass in sector l=12, j=15, J=3"):
         _moments_fast(24, 30, 6)
 

@@ -266,7 +266,7 @@ def test_choi_trace_preserving_and_positive_small():
         lowest = np.linalg.eigvalsh(choi)[0]
         assert lowest > -1e-10
         # the charge-block bound agrees with the full spectrum
-        assert abs(_positivity_deviation(*_charge_blocks(choi)) - max(0.0, -lowest)) < 1e-12
+        assert abs(_positivity_deviation(_charge_blocks(choi)) - max(0.0, -lowest)) < 1e-12
         assert np.max(np.abs(choi - _projector_sum(coeffs))) < 1e-12
 
 
@@ -281,12 +281,12 @@ def test_positivity_bound_sees_off_block_negativity(monkeypatch):
     broken[i, k] += epsilon
     broken[k, i] += epsilon
     assert np.linalg.eigvalsh(broken)[0] < -1e-10
-    assert _positivity_deviation(*_charge_blocks(broken)) >= -np.linalg.eigvalsh(broken)[0]
+    assert _charge_blocks(broken) is None
 
     monkeypatch.setattr(oracle, "build_choi", lambda coeffs: broken)
     report = verify_closed_form(2, 3, emap)
     assert "choi_positive" in [c.name for c in report.failures()]
-    assert report.deviation("choi_positive") > 1e-10
+    assert report.deviation("choi_positive") == -np.linalg.eigvalsh(broken)[0]
 
 
 def _count_eigvalsh(monkeypatch):
@@ -323,7 +323,7 @@ def test_positivity_eigensolves_one_band_per_mirror_pair(monkeypatch):
     for choi in operators:
         n_qubits = choi.shape[0].bit_length() - 1
         calls.clear()
-        _positivity_deviation(*_charge_blocks(choi))
+        _positivity_deviation(_charge_blocks(choi))
         assert len(calls) == n_qubits // 2 + 1
     calls.clear()
     assert verify_closed_form(2, 5, conjectured_optimal_map(2, 5)).ok
@@ -342,7 +342,7 @@ def test_positivity_mirror_falls_back_on_a_changed_band(monkeypatch):
         row, col = bands[value][-1], bands[value][0]
         broken[row, col] += 1e-9
         calls.clear()
-        _positivity_deviation(*_charge_blocks(broken))
+        _positivity_deviation(_charge_blocks(broken))
         assert len(calls) == n_qubits // 2 + 1 + count
     assert len(calls) == n_qubits + 1
 
@@ -363,7 +363,7 @@ def test_positivity_bound_sees_each_broken_band():
             np.linalg.eigvalsh(broken[np.ix_(band, band)])[0]
             for band in _charge_bands(n_qubits)
         )
-        bound = _positivity_deviation(*_charge_blocks(broken))
+        bound = _positivity_deviation(_charge_blocks(broken))
         assert bound > 1e-10
         # the off-block part is zero, so the bound is tight and the full
         # eigensolve agrees only up to its rounding
@@ -371,21 +371,27 @@ def test_positivity_bound_sees_each_broken_band():
         assert bound == max(0.0, -lowest)
 
 
-def _dense_weyl_bound(choi):
-    # smallest eigenvalue of every charge block, less the largest absolute
-    # row or column sum of everything outside the blocks; a block above L/2
-    # that is exactly its mirror block reversed has the same spectrum, and
-    # is not eigensolved again, since the two solves differ in the last bits
+def _blockwise_lowest(choi):
+    # smallest eigenvalue of every charge block; a block above L/2 that is
+    # exactly its mirror block reversed has the same spectrum, and is not
+    # eigensolved again, since the two solves differ in the last bits
     n_qubits = choi.shape[0].bit_length() - 1
     blocks = [choi[np.ix_(band, band)] for band in _charge_bands(n_qubits)]
-    lowest = min(
+    return min(
         np.linalg.eigvalsh(block)[0]
         for k, block in enumerate(blocks)
         if k <= n_qubits // 2 or not np.array_equal(block, blocks[n_qubits - k][::-1, ::-1])
     )
-    charge = _popcounts(2**n_qubits)
-    outside = np.abs(np.where(charge[:, None] == charge[None, :], 0.0, choi))
-    return max(0.0, max(outside.sum(axis=0).max(), outside.sum(axis=1).max()) - lowest)
+
+
+def _assert_checked_whole(monkeypatch, broken, n, m):
+    # verify_closed_form on an operator with entries outside the charge
+    # blocks reports the exact whole-S values
+    monkeypatch.setattr(oracle, "build_choi", lambda coeffs: broken)
+    report = verify_closed_form(n, m, conjectured_optimal_map(n, m))
+    assert report.deviation("choi_hermitian") == np.max(np.abs(broken - broken.conj().T))
+    lowest = np.linalg.eigvalsh(broken)[0]
+    assert report.deviation("choi_positive") == max(0.0, -lowest)
 
 
 def _charge_block_cases():
@@ -404,39 +410,37 @@ def _charge_block_cases():
         yield choi * np.exp(1j * (angles - angles.T))
 
 
-def test_charge_blocks_certify_a_zero_rest():
-    # the exact nonzero count finds no rest on any covariant operator, and a
-    # single subnormal entry between two charges is enough to produce one
+def test_charge_blocks_certify_a_zero_rest(monkeypatch):
+    # the exact nonzero count certifies the blocks of every covariant
+    # operator, and a single subnormal entry between two charges is enough
+    # to withhold the certificate
     for choi in _charge_block_cases():
-        blocks, rest = _charge_blocks(choi)
-        assert rest is None
-        assert _skew_deviation(blocks, rest) == np.max(np.abs(choi - choi.conj().T))
-        assert _positivity_deviation(blocks, rest) == _dense_weyl_bound(choi)
+        blocks = _charge_blocks(choi)
+        assert blocks is not None
+        assert _skew_deviation(blocks) == np.max(np.abs(choi - choi.conj().T))
+        assert _positivity_deviation(blocks) == max(0.0, -_blockwise_lowest(choi))
 
         broken = choi.copy()
         broken[0b1, 0b11] = 5e-324  # popcounts 1 and 2
-        blocks, rest = _charge_blocks(broken)
-        assert rest is not None
-        assert np.flatnonzero(rest).tolist() == [0b1 * broken.shape[0] + 0b11]
-        assert _skew_deviation(blocks, rest) == np.max(np.abs(broken - broken.conj().T))
-        bound = _positivity_deviation(blocks, rest)
-        assert abs(bound - _dense_weyl_bound(broken)) <= 1e-15
+        assert _charge_blocks(broken) is None
+    # whole-S values on the uncertified operator, real and complex
+    choi = build_choi(coefficients_for(conjectured_optimal_map(2, 3)))
+    angles = np.random.default_rng(53).uniform(-np.pi, np.pi, size=choi.shape)
+    for clean in (choi, choi * np.exp(1j * (angles - angles.T))):
+        broken = clean.copy()
+        broken[0b1, 0b11] = 5e-324
+        _assert_checked_whole(monkeypatch, broken, 2, 3)
 
 
-def test_charge_blocks_bound_a_dense_off_block_part():
-    # Hermitian noise on every entry, real and complex: the rest is S with
-    # its blocks zeroed, and the bound is the dense one up to summation order
+def test_verify_checks_a_dense_off_block_part_whole(monkeypatch):
+    # Hermitian noise on every entry, real and complex: no certificate, and
+    # the checks read the whole of S exactly
     rng = np.random.default_rng(47)
     choi = build_choi(coefficients_for(conjectured_optimal_map(2, 5)))
     noise = rng.normal(size=choi.shape) * 1e-6
     for broken in (choi + noise + noise.T, choi + 1j * (noise - noise.T)):
-        blocks, rest = _charge_blocks(broken)
-        charge = _popcounts(broken.shape[0])
-        inside = charge[:, None] == charge[None, :]
-        assert np.array_equal(rest, np.where(inside, 0.0, broken))
-        assert _skew_deviation(blocks, rest) == np.max(np.abs(broken - broken.conj().T))
-        assert abs(_positivity_deviation(blocks, rest) - _dense_weyl_bound(broken)) <= 1e-15
-        assert _positivity_deviation(blocks, rest) >= -np.linalg.eigvalsh(broken)[0] - 1e-15
+        assert _charge_blocks(broken) is None
+        _assert_checked_whole(monkeypatch, broken, 2, 5)
 
 
 def test_probe_inputs_flip_one_copy_before_the_power():
