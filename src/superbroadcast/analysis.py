@@ -43,12 +43,9 @@ copy is purer than each input copy (superbroadcasting).  ``p(0)`` of the
 optimal map is the exact rational :func:`half_spin_scaling_at_zero`, which
 decides every ``p(0) > 1`` question without rounding.  Its ``r'`` is
 ``(M+2)/M * F_N(r)`` for ``M >= N``, and the thresholds evaluate ``F_N`` in
-the O(N) binomial form of :func:`_f_n` instead of on a curve.  So do the
-profiles of :func:`scaling_profile` from ``N = 101`` on: they turn no
-multiplicity into a float and answer at ``N = 10^5``.  Profiles with
-``N <= 100`` keep the per-sector curve only because the ``figure2`` digest
-pins its last digits, and those with ``M < N`` keep it until ROADMAP.md
-item 3 gives every channel an O(N) form (see :class:`ScalingProfile`).
+the O(N) binomial form of :func:`_f_n` instead of on a curve, as do the
+profiles of :func:`scaling_profile` from ``N = 101`` on, which answer at
+``N = 10^5`` (see :class:`ScalingProfile` for the pairs that keep a curve).
 """
 
 from __future__ import annotations
@@ -466,20 +463,31 @@ def _binomial_coefficients(n_in: int) -> np.ndarray:
     return (k - n_in / 2) * s_by_dl[np.abs(n_in - 2 * k)]
 
 
+@lru_cache(maxsize=64)
+def _pmf_ratios(n_in: int) -> np.ndarray:
+    """``t_i = (N-i)/(i+1)`` for ``i = 0..N``, then ``min(40 sqrt(N) + 40, N)`` zeros.
+
+    The binomial pmf steps up by ``P(k+1)/P(k) = t_k r_+/r_-`` and down by
+    ``P(k-1)/P(k) = k/(N-k+1) r_-/r_+ = t_(N-k) r_-/r_+``, so one table of
+    IEEE quotients of two integers serves both sides; the zeros end the
+    running products of :func:`_f_n_rows` past ``k = 0`` and ``N``.
+    """
+    reach, i = int(40 * math.sqrt(n_in) + 40), np.arange(n_in + 1)
+    return np.concatenate([(n_in - i) / (i + 1), np.zeros(min(reach, n_in))])
+
+
 def _f_n(n_in: int, r: float) -> float:
     """``F_N(r) = E[b_K]`` with ``K ~ Bin(N, (1+r)/2)``, in O(sqrt N) per point.
 
     The optimal map has ``r' = (M+2)/M * F_N(r)`` for every ``M >= N``.
-    The pmf is never formed from a binomial coefficient: ``q`` is 1 at the
-    mode and extends outward by the ratio ``(N-k)/(k+1) * r_+/r_-``, up to
-    ``40 sqrt(N) + 40`` steps each way (Hoeffding puts the mass beyond below
-    ``e^-3200``), and dividing by ``sum q`` normalizes it exactly.  The
-    reductions are ``ndarray.sum``, which no BLAS call sees, so the value
-    does not depend on the thread count.  ``F_N(0) = 0`` and
-    ``F_N(1) = b_N`` are returned exactly.  :func:`_f_n_rows` is the same
-    sum over an array of points.
+    ``q`` is the pmf over its value at the mode: a running product outward
+    from it per side, of a :func:`_pmf_ratios` slice times ``r_+/r_-`` (up)
+    or ``r_-/r_+`` (down), for ``40 sqrt(N) + 40`` steps at most (Hoeffding
+    puts the mass beyond below ``e^-3200``); ``sum b q / sum q`` over that
+    window needs no binomial coefficient, and no BLAS call sees the sums.
+    ``F_N(0) = 0`` and ``F_N(1) = b_N`` are exact.
     """
-    b = _binomial_coefficients(n_in)
+    b, t = _binomial_coefficients(n_in), _pmf_ratios(n_in)
     if r == 0.0:
         return 0.0
     if r == 1.0:
@@ -488,55 +496,50 @@ def _f_n(n_in: int, r: float) -> float:
     mode = min(int((n_in + 1) * r_plus), n_in)
     reach = int(40 * math.sqrt(n_in) + 40)
     lo, hi = max(mode - reach, 0), min(mode + reach, n_in)
-    up = np.arange(mode, hi)
-    down = np.arange(mode, lo, -1)
-    q = np.concatenate([
-        np.cumprod(down / (n_in - down + 1) * (r_minus / r_plus))[::-1],
-        [1.0],
-        np.cumprod((n_in - up) / (up + 1) * (r_plus / r_minus)),
-    ])
+    q = np.empty(hi - lo + 1)
+    q[mode - lo] = 1.0
+    np.cumprod(t[n_in - mode : n_in - lo] * (r_minus / r_plus), out=q[: mode - lo][::-1])
+    np.cumprod(t[mode:hi] * (r_plus / r_minus), out=q[mode - lo + 1 :])
     return float((b[lo : hi + 1] * q).sum() / q.sum())
 
 
 def _f_n_rows(n_in: int, rs: np.ndarray) -> np.ndarray:
     """:func:`_f_n` at each entry of the 1-D array ``rs``, bit for bit.
 
-    Each point gets the scalar call's window, ratios, running products and
-    division, one row per point.  numpy's pairwise ``sum`` adds in an order
-    set by the length it adds, so each row is summed over its own window,
-    never padded: rows of one window length are summed together, in blocks
-    of about 1 MiB, so memory stays O(N).  A row's window ends either
-    ``40 sqrt(N) + 40`` steps from its mode, as far as any row's, or at
-    ``k = 0`` or ``N``; past the latter the index is clipped there, where
-    the ratio is exactly 0, so the running products end in 0 rather than
-    overflow.
+    Each row takes the scalar call's window, ratios, running products and
+    division.  numpy's pairwise ``sum`` adds in an order set by its length,
+    so rows of one window length are summed together, unpadded, in blocks
+    of about 1 MiB (O(N) memory).  A block runs every row's products as far
+    as its widest row's, into the table's zeros past ``k = 0`` or ``N``,
+    and reads each row's window out of them.
     """
-    b = _binomial_coefficients(n_in)
+    b, t = _binomial_coefficients(n_in), _pmf_ratios(n_in)
     values = np.where(rs == 1.0, b[-1], 0.0)
     inner = np.flatnonzero((rs != 0.0) & (rs != 1.0))
     r_plus, r_minus = (1.0 + rs[inner]) / 2.0, (1.0 - rs[inner]) / 2.0
     fall, rise = (r_minus / r_plus)[:, None], (r_plus / r_minus)[:, None]
     mode = np.minimum(((n_in + 1) * r_plus).astype(np.int64), n_in)
     reach = int(40 * math.sqrt(n_in) + 40)
-    lo, hi = np.maximum(mode - reach, 0), np.minimum(mode + reach, n_in)
-    width = hi - lo + 1
+    # a row's window is k = mode - down .. mode + up
+    down, up = np.minimum(mode, reach), np.minimum(n_in - mode, reach)
+    width = down + up + 1
+    # row i of each strided view below is a[i : i + columns] of its array a
+    ratios = np.ndarray((n_in + 1, t.size - n_in), float, t, 0, (8, 8))
     for size in sorted(set(width.tolist())):
         same = np.flatnonzero(width == size)
         step = max(1, (1 << 17) // size)
+        b_windows = np.ndarray((n_in + 2 - size, size), float, b, 0, (8, 8))
         for rows in (same[i : i + step] for i in range(0, same.size, step)):
-            m = mode[rows, None]
-            below, above = int((m[:, 0] - lo[rows]).max()), int((hi[rows] - m[:, 0]).max())
-            down = np.maximum(m - np.arange(below), 0)
-            up = np.minimum(m + np.arange(above), n_in)
-            # column c holds q at k = mode - below + c
-            q_all = np.concatenate(
-                [np.cumprod(down / (n_in - down + 1) * fall[rows], axis=1)[:, ::-1],
-                 np.ones(m.shape), np.cumprod((n_in - up) / (up + 1) * rise[rows], axis=1)],
-                axis=1,
-            )
-            k = lo[rows, None] + np.arange(size)
-            q = q_all[np.arange(rows.size)[:, None], k - (m - below)]
-            values[inner[rows]] = (b[k] * q).sum(axis=1) / q.sum(axis=1)
+            m, d = mode[rows], down[rows]
+            below, above = int(d.max()), int(up[rows].max())
+            # column c holds q at k = m - below + c
+            q_all = np.empty((rows.size, below + 1 + above))
+            q_all[:, below] = 1.0
+            np.cumprod(ratios[n_in - m, :below] * fall[rows], axis=1, out=q_all[:, :below][:, ::-1])
+            np.cumprod(ratios[m, :above] * rise[rows], axis=1, out=q_all[:, below + 1 :])
+            flat = np.ndarray((q_all.size - size + 1, size), float, q_all, 0, (8, 8))
+            q = flat[np.arange(below, q_all.size, q_all.shape[1]) - d]
+            values[inner[rows]] = (b_windows[m - d] * q).sum(axis=1) / q.sum(axis=1)
     return values
 
 
@@ -611,7 +614,7 @@ def optimal_map(n_in: int, m_out: int, r: float) -> OptimalMapResult:
         report=_report(profile, r),
         matches_conjecture=True,
         exhaustive=True,
-        candidates=extremal_count(n_in, m_out),
+        candidates=profile._candidates,
     )
 
 
@@ -700,6 +703,10 @@ class ScalingProfile:
     @cached_property
     def curve(self) -> BlochCurve:
         return _cached_curve(self.emap)
+
+    @cached_property
+    def _candidates(self) -> int:
+        return extremal_count(self.n_in, self.m_out)
 
     @property
     def _on_curve(self) -> bool:

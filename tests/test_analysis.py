@@ -373,6 +373,21 @@ def test_optimal_map_exhaustive_at_every_size():
         assert result.candidates == extremal_count(n, m)
 
 
+def test_optimal_map_counts_candidates_once_per_pair(monkeypatch):
+    analysis.scaling_profile.cache_clear()
+    first = optimal_map(300, 301, 0.5)
+
+    def refuse(*args):
+        raise AssertionError("counted the extremal maps again")
+
+    monkeypatch.setattr(analysis, "extremal_count", refuse)
+    for r in (0.0, 0.5, 0.99):
+        again = optimal_map(300, 301, r)
+        assert type(again.candidates) is int and again.candidates == first.candidates
+    assert first.candidates == extremal_count(300, 301)
+    analysis.scaling_profile.cache_clear()
+
+
 def _scored_choices(dl, m):
     """Every legal ``(2j, 2J)`` for input spin ``dl/2`` at ``m`` outputs, in
     enumeration order, with ``4s = 2J(2J+2) - 2j(2j+2) - 2l(2l+2)``."""
@@ -537,22 +552,58 @@ def test_f_n_window_matches_full_range_sum():
             assert_allclose(_f_n(n, r), full, rtol=1e-9, err_msg=f"N={n}, r={r}")
 
 
-@pytest.mark.parametrize("n", [101, 202, 1030, 1700, 5000, 10**5])
-def test_batched_f_n_equals_scalar_calls_bit_for_bit(n):
-    # from N = 1650 on the windows of 40 sqrt(N) + 40 steps part from [0, N]
-    # and differ in length from point to point; a padded row sum would differ
+def _bit_test_points(n):
     rng = np.random.default_rng(n)
-    rs = np.concatenate([
+    return np.concatenate([
         np.linspace(0.0, 1.0, 41),
         rng.random(40),
         1.0 - 10.0 ** -rng.uniform(1, 15, 12),
         10.0 ** -rng.uniform(1, 15, 6),
         [np.nextafter(1.0, 0.0), 5e-324],
     ])
+
+
+@pytest.mark.parametrize("n", [101, 202, 1030, 1700, 5000, 10**5])
+def test_batched_f_n_equals_scalar_calls_bit_for_bit(n):
+    # from N = 1650 on the windows of 40 sqrt(N) + 40 steps part from [0, N]
+    # and differ in length from point to point; a padded row sum would differ
+    rs = _bit_test_points(n)
     got = _f_n_rows(n, rs)
     assert got.shape == rs.shape
     want = [_f_n(n, float(r)) for r in rs]
     assert [float(v).hex() for v in got] == [v.hex() for v in want]
+
+
+def _f_n_direct(n, r):
+    """``F_N`` by the direct arithmetic that ``_f_n`` must match bit for bit:
+    each call forms its own integer ranges and integer-over-integer ratios,
+    and concatenates the falling products, 1 and the rising products."""
+    b = _binomial_coefficients(n)
+    if r == 0.0:
+        return 0.0
+    if r == 1.0:
+        return float(b[-1])
+    r_plus, r_minus = (1.0 + r) / 2.0, (1.0 - r) / 2.0
+    mode = min(int((n + 1) * r_plus), n)
+    reach = int(40 * math.sqrt(n) + 40)
+    lo, hi = max(mode - reach, 0), min(mode + reach, n)
+    up, down = np.arange(mode, hi), np.arange(mode, lo, -1)
+    q = np.concatenate([
+        np.cumprod(down / (n - down + 1) * (r_minus / r_plus))[::-1],
+        [1.0],
+        np.cumprod((n - up) / (up + 1) * (r_plus / r_minus)),
+    ])
+    return float((b[lo : hi + 1] * q).sum() / q.sum())
+
+
+@pytest.mark.parametrize("n", [*range(1, 13), 30, 66, 100, 101, 136, 202, 1030, 1700, 5000, 10**5])
+def test_f_n_keeps_the_bits_of_the_direct_arithmetic(n):
+    # the ratio table holds the same IEEE quotients, and each running product
+    # and each window sum runs in the same order, so no bit may move
+    rs = _bit_test_points(n)
+    want = [_f_n_direct(n, float(r)).hex() for r in rs]
+    assert [_f_n(n, float(r)).hex() for r in rs] == want
+    assert [float(v).hex() for v in _f_n_rows(n, rs)] == want
 
 
 def test_profiles_past_the_sector_route_build_no_curve(monkeypatch):

@@ -11,11 +11,12 @@ import warnings
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import exact
 from superbroadcast import analysis, channels, cli
-from superbroadcast.analysis import _f_n
+from superbroadcast.analysis import _f_n, scaling_profile
 from superbroadcast.cli import (
     RunConfig,
     figure3_rows,
@@ -52,6 +53,28 @@ def test_scaling_rows_shape():
     # an m range stacks one block per output count
     config = RunConfig("scaling", n_in=4, m_range=(5, 7), steps=5)
     assert len(scaling_rows(config)) == 1 + 3 * 5
+
+
+def test_scaling_rows_evaluate_f_n_once_per_curve(monkeypatch):
+    # on the F_N route p divides the r' in hand: one F_N batch per curve, and
+    # the bytes of the profile's own p, which evaluates F_N a second time
+    config = RunConfig("scaling", n_in=150, m_range=(150, 152), steps=101)
+    grid = np.linspace(0.0, 1.0, 101)
+    want = [["n", "m", "r", "r_prime", "p"]]
+    for m in (150, 151, 152):
+        profile = scaling_profile(150, m)
+        columns = zip(grid, profile.r_prime(grid), profile.p(grid))
+        want += [["150", str(m), *map(cli._fmt, values)] for values in columns]
+    calls = []
+    f_n_rows = analysis._f_n_rows
+
+    def counted(n, rs):
+        calls.append(rs.size)
+        return f_n_rows(n, rs)
+
+    monkeypatch.setattr(analysis, "_f_n_rows", counted)
+    assert scaling_rows(config) == want
+    assert calls == [101, 101, 101]
 
 
 def test_threshold_rows_values():
@@ -214,6 +237,7 @@ def test_cli_corner_sweep(capsys):
     analysis._cached_curve.cache_clear()
     analysis.scaling_profile.cache_clear()
     analysis._binomial_coefficients.cache_clear()
+    analysis._pmf_ratios.cache_clear()
     outputs = {}
     start = time.perf_counter()
     with warnings.catch_warnings():

@@ -1,5 +1,6 @@
 """Purity thresholds r*, maximal output counts M*, and power-law fits."""
 
+import hashlib
 import time
 from fractions import Fraction
 from math import comb, lcm
@@ -425,6 +426,18 @@ def test_presence_reads_zero_slope_only_up_to_five(monkeypatch):
     start = time.perf_counter()
     assert m_star(10**5, cap=10**5 + 1) == MStarResult(10**5, 10**5 + 1, 10**5 + 1, True)
     assert time.perf_counter() - start < 0.1
+
+
+def test_r_star_keeps_its_bits():
+    # every (r*, bracket width) for N = 1..220 and M in {N+1, N+2, 2N} at the
+    # default tol, as F_N gave them before it read its pmf ratios from a table
+    digest = hashlib.sha256()
+    for n in range(1, 221):
+        for m in (n + 1, n + 2, 2 * n):
+            result = r_star(n, m)
+            value = "none" if result.r_star is None else result.r_star.hex()
+            digest.update(f"{n},{m},{value},{result.bracket_width.hex()}\n".encode())
+    assert digest.hexdigest() == "3e5376c9a39180a4124e60b171d8c7f7ae955a85252e7fbc27d889acad9e0f90"
 
 
 def test_threshold_fields_are_plain_floats():
