@@ -253,7 +253,7 @@ def _polarization(dl: int, dj: int, dJ: int) -> np.ndarray:
 def _bloch_lengths(r: Union[float, np.ndarray]) -> np.ndarray:
     """``r`` as a float array; ValueError unless every entry lies in [0, 1]."""
     rr = np.asarray(r, dtype=float)
-    if not np.all((rr >= 0) & (rr <= 1)):
+    if not ((rr >= 0) & (rr <= 1)).all():
         raise ValueError("Bloch length outside [0, 1]")
     return rr
 
@@ -262,12 +262,13 @@ def _scaling_factor(r, r_prime, p_zero) -> Union[float, np.ndarray]:
     """``r_prime(r)/r`` at each ``r``, one batch for every nonzero ``r``, and
     ``p_zero()`` at ``r = 0``; a float for a scalar ``r``, else the shape of ``r``."""
     rr = np.asarray(r, dtype=float)
-    values = np.empty_like(rr)
     nonzero = rr != 0
-    if np.any(nonzero):
-        values[nonzero] = r_prime(rr[nonzero]) / rr[nonzero]
-    if not np.all(nonzero):
-        values[~nonzero] = p_zero()
+    if nonzero.all():
+        values = (r_prime(rr.ravel()) / rr.ravel()).reshape(rr.shape)
+    else:
+        values = np.full_like(rr, p_zero())
+        if nonzero.any():
+            values[nonzero] = r_prime(rr[nonzero]) / rr[nonzero]
     return float(values) if np.isscalar(r) else values
 
 
@@ -504,43 +505,57 @@ def _f_n(n_in: int, r: float) -> float:
 
 
 def _f_n_rows(n_in: int, rs: np.ndarray) -> np.ndarray:
-    """:func:`_f_n` at each entry of the 1-D array ``rs``, bit for bit.
+    """:func:`_f_n` at each entry of the 1-D array ``rs``, bit for bit;
+    ValueError unless every entry lies in [0, 1].
 
     Each row takes the scalar call's window, ratios, running products and
     division.  numpy's pairwise ``sum`` adds in an order set by its length,
     so rows of one window length are summed together, unpadded, in blocks
     of about 1 MiB (O(N) memory).  A block runs every row's products as far
     as its widest row's, into the table's zeros past ``k = 0`` or ``N``,
-    and reads each row's window out of them.
+    and reads each row's window out of them.  Up to ``N = 1679`` every
+    window is ``[0, N]`` (``40 sqrt(N) + 40 >= N``), so the blocks slice the
+    batch and share ``b`` as their window.  A batch inside ``(0, 1)`` passes
+    one mask, which validates it, and skips those that pin the exact ends.
     """
     b, t = _binomial_coefficients(n_in), _pmf_ratios(n_in)
-    values = np.where(rs == 1.0, b[-1], 0.0)
-    inner = np.flatnonzero((rs != 0.0) & (rs != 1.0))
-    r_plus, r_minus = (1.0 + rs[inner]) / 2.0, (1.0 - rs[inner]) / 2.0
+    inner = (rs > 0.0) & (rs < 1.0)
+    every = inner.all()
+    if not every:
+        _bloch_lengths(rs)  # ValueError outside [0, 1]
+    x = rs if every else np.where(inner, rs, 0.5)  # 0.5 stands in for an exact end
+    r_plus, r_minus = (1.0 + x) / 2.0, (1.0 - x) / 2.0
     fall, rise = (r_minus / r_plus)[:, None], (r_plus / r_minus)[:, None]
     mode = np.minimum(((n_in + 1) * r_plus).astype(np.int64), n_in)
     reach = int(40 * math.sqrt(n_in) + 40)
-    # a row's window is k = mode - down .. mode + up
-    down, up = np.minimum(mode, reach), np.minimum(n_in - mode, reach)
-    width = down + up + 1
+    # a row's window is k = mode - down .. mode + up, of size down + up + 1
+    if reach >= n_in:
+        down, up, step = mode, n_in - mode, max(1, (1 << 17) // (n_in + 1))
+        blocks = [(n_in + 1, slice(i, i + step)) for i in range(0, x.size, step)]
+    else:
+        down, up = np.minimum(mode, reach), np.minimum(n_in - mode, reach)
+        width, blocks = down + up + 1, []
+        for size in sorted(set(width.tolist())):
+            same, step = np.flatnonzero(width == size), max(1, (1 << 17) // size)
+            blocks += [(size, same[i : i + step]) for i in range(0, same.size, step)]
     # row i of each strided view below is a[i : i + columns] of its array a
     ratios = np.ndarray((n_in + 1, t.size - n_in), float, t, 0, (8, 8))
-    for size in sorted(set(width.tolist())):
-        same = np.flatnonzero(width == size)
-        step = max(1, (1 << 17) // size)
-        b_windows = np.ndarray((n_in + 2 - size, size), float, b, 0, (8, 8))
-        for rows in (same[i : i + step] for i in range(0, same.size, step)):
-            m, d = mode[rows], down[rows]
-            below, above = int(d.max()), int(up[rows].max())
-            # column c holds q at k = m - below + c
-            q_all = np.empty((rows.size, below + 1 + above))
-            q_all[:, below] = 1.0
-            np.cumprod(ratios[n_in - m, :below] * fall[rows], axis=1, out=q_all[:, :below][:, ::-1])
-            np.cumprod(ratios[m, :above] * rise[rows], axis=1, out=q_all[:, below + 1 :])
-            flat = np.ndarray((q_all.size - size + 1, size), float, q_all, 0, (8, 8))
-            q = flat[np.arange(below, q_all.size, q_all.shape[1]) - d]
-            values[inner[rows]] = (b_windows[m - d] * q).sum(axis=1) / q.sum(axis=1)
-    return values
+    values = np.empty(x.size)
+    product = np.multiply.accumulate  # np.cumprod's loop; its wrapper costs more than a row
+    for size, rows in blocks:
+        m, d = mode[rows], down[rows]
+        below, above = int(d.max()), int(up[rows].max())
+        # column c holds q at k = m - below + c
+        q_all = np.empty((m.size, below + 1 + above))
+        q_all[:, below] = 1.0
+        product(ratios[n_in - m, :below] * fall[rows], axis=1, out=q_all[:, :below][:, ::-1])
+        product(ratios[m, :above] * rise[rows], axis=1, out=q_all[:, below + 1 :])
+        flat = np.ndarray((q_all.size - size + 1, size), float, q_all, 0, (8, 8))
+        q = flat[np.arange(below, q_all.size, q_all.shape[1]) - d]
+        # the one window of size N + 1 is b itself
+        windows = np.ndarray((n_in + 2 - size, size), float, b, 0, (8, 8))
+        values[rows] = ((windows[m - d] if size <= n_in else b) * q).sum(axis=1) / q.sum(axis=1)
+    return values if every else np.where(inner, values, np.where(rs == 1.0, b[-1], 0.0))
 
 
 def half_spin_scaling_at_zero(n_in: int, m_out: int) -> Fraction:
@@ -677,17 +692,18 @@ class ScalingProfile:
     :func:`optimal_map`.
 
     Two routes evaluate ``r_prime`` and ``p_zero``, and ``p`` is their
-    ratio on either.  For ``M >= N > 100`` every sector has
-    ``s = -l(M+2)``, so ``r' = (M+2)/M * F_N(r)`` from :func:`_f_n_rows`:
-    O(sqrt N) work per point, O(N) memory, no BLAS call and no float
-    multiplicity, so it answers at ``N = 10^5``; ``p(0)`` is
-    :func:`half_spin_scaling_at_zero` rounded once, the curve's
-    :meth:`BlochCurve.p_zero` bit for bit.  The other pairs evaluate the
-    per-sector :attr:`curve` (its own ``p`` is the same ratio, bit for bit):
-    those with ``N <= 100`` because the ``figure2`` digest pins that
-    route's last digits, and those with ``M < N`` because their sectors
-    above ``l = M/2`` score ``s = -M(l+1)``, so ``r'`` is no multiple of
-    ``F_N`` (ROADMAP.md item 3).
+    ratio on either, over one flat batch of its nonzero points.  For
+    ``M >= N > 100`` every sector has ``s = -l(M+2)``, so
+    ``r' = (M+2)/M * F_N(r)`` from :func:`_f_n_rows`, which validates the
+    batch: O(sqrt N) work per point, O(N) memory, one pass each for the
+    scale and the ratio, no BLAS call and no float multiplicity, so it
+    answers at ``N = 10^5``; ``p(0)`` is :func:`half_spin_scaling_at_zero`
+    rounded once, :meth:`BlochCurve.p_zero` bit for bit.  The other pairs
+    evaluate the per-sector :attr:`curve` (its own ``p`` is the same ratio,
+    bit for bit): those with ``N <= 100`` because the ``figure2`` digest
+    pins that route's last digits, and those with ``M < N`` because their
+    sectors above ``l = M/2`` score ``s = -M(l+1)``, so ``r'`` is no
+    multiple of ``F_N`` (ROADMAP.md item 3).
 
     ``curve`` is the map's :class:`BlochCurve`, shared with
     :func:`single_copy_bloch` and built on first access, so the ``F_N``
@@ -715,10 +731,9 @@ class ScalingProfile:
     def r_prime(self, r: Union[float, np.ndarray]) -> Union[float, np.ndarray]:
         if self._on_curve:
             return self.curve.r_prime(r)
-        rr = _bloch_lengths(r)
-        value = _f_n_rows(self.n_in, rr.ravel()).reshape(rr.shape)
-        value *= (self.m_out + 2) / self.m_out
-        return float(value) if np.isscalar(r) else value
+        rr = np.asarray(r, dtype=float)
+        value = _f_n_rows(self.n_in, rr.ravel()) * ((self.m_out + 2) / self.m_out)
+        return float(value[0]) if np.isscalar(r) else value.reshape(rr.shape)
 
     def p(self, r: Union[float, np.ndarray]) -> Union[float, np.ndarray]:
         return _scaling_factor(r, self.r_prime, self.p_zero)

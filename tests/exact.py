@@ -62,7 +62,7 @@ import hashlib
 import json
 import sys
 from fractions import Fraction
-from math import comb, lcm
+from math import comb, floor, lcm, log10
 from pathlib import Path
 from types import MappingProxyType
 
@@ -79,15 +79,19 @@ def fmt12(x) -> str:
     """``x`` rounded half-even to 12 significant digits, in ``%.12g`` layout.
 
     The rounded decimal has 12 digits, so the nearest double holds it
-    exactly enough for ``%.12g`` to print those digits back.
+    exactly enough for ``%.12g`` to print those digits back.  The decimal
+    exponent comes from the bit lengths and exact comparisons, never from
+    ``str`` of an integer, which Python refuses past 4300 digits.
     """
     x = Fraction(x)
     if x == 0:
         return "0"
     sign, x = ("-" if x < 0 else ""), abs(x)
-    e = len(str(x.numerator)) - len(str(x.denominator))
-    if x < Fraction(10) ** e:
-        e -= 1  # now 10^e <= x < 10^(e+1)
+    e = floor((x.numerator.bit_length() - x.denominator.bit_length()) * log10(2))
+    while x < Fraction(10) ** e:
+        e -= 1
+    while x >= Fraction(10) ** (e + 1):
+        e += 1  # now 10^e <= x < 10^(e+1)
     digits = round(x * Fraction(10) ** (11 - e))  # Fraction rounds half to even
     return sign + f"{float(digits * Fraction(10) ** (e - 11)):.12g}"
 

@@ -563,9 +563,9 @@ def _bit_test_points(n):
     ])
 
 
-@pytest.mark.parametrize("n", [101, 202, 1030, 1700, 5000, 10**5])
+@pytest.mark.parametrize("n", [101, 202, 1030, 1679, 1680, 1700, 5000, 10**5])
 def test_batched_f_n_equals_scalar_calls_bit_for_bit(n):
-    # from N = 1650 on the windows of 40 sqrt(N) + 40 steps part from [0, N]
+    # from N = 1680 on the windows of 40 sqrt(N) + 40 steps part from [0, N]
     # and differ in length from point to point; a padded row sum would differ
     rs = _bit_test_points(n)
     got = _f_n_rows(n, rs)
@@ -596,7 +596,16 @@ def _f_n_direct(n, r):
     return float((b[lo : hi + 1] * q).sum() / q.sum())
 
 
-@pytest.mark.parametrize("n", [*range(1, 13), 30, 66, 100, 101, 136, 202, 1030, 1700, 5000, 10**5])
+def _workload_batch(rng):
+    # 16 sorted points, half in the last percent below r = 1, as the
+    # benchmark's curve queries draw them
+    rs = np.concatenate([rng.uniform(0.05, 0.99, 8), 1.0 - 10.0 ** rng.uniform(-5.5, -2.0, 8)])
+    return np.sort(rs)
+
+
+@pytest.mark.parametrize(
+    "n", [*range(1, 13), 30, 66, 100, 101, 136, 202, 1030, 1679, 1680, 1700, 5000, 10**5]
+)
 def test_f_n_keeps_the_bits_of_the_direct_arithmetic(n):
     # the ratio table holds the same IEEE quotients, and each running product
     # and each window sum runs in the same order, so no bit may move
@@ -604,6 +613,12 @@ def test_f_n_keeps_the_bits_of_the_direct_arithmetic(n):
     want = [_f_n_direct(n, float(r)).hex() for r in rs]
     assert [_f_n(n, float(r)).hex() for r in rs] == want
     assert [float(v).hex() for v in _f_n_rows(n, rs)] == want
+    # a batch's makeup sets its blocks: one with no exact end, and one whose
+    # 0, 1 and -0.0 are masked among inner points
+    rng = np.random.default_rng(n + 1)
+    for batch in (_workload_batch(rng), np.array([0.3, 0.0, 1.0, -0.0, 0.999, 1e-9, 0.0, 0.75])):
+        want = [_f_n_direct(n, float(r)).hex() for r in batch]
+        assert [float(v).hex() for v in _f_n_rows(n, batch)] == want, batch
 
 
 def test_profiles_past_the_sector_route_build_no_curve(monkeypatch):
@@ -664,7 +679,13 @@ def test_profile_and_curve_values_keep_the_input_shape(n):
         assert float(zero_d) == method(0.3)
         assert method(grid[0]).shape == (3,)
         assert method(grid).shape == (2, 3)
+        assert method(np.array([])).shape == (0,)
         assert_allclose(method(grid), [method(row) for row in grid], rtol=1e-13, atol=0)
+    # an F_N point does not depend on its batch, so the rows agree exactly
+    if not profile._on_curve:
+        for method in (profile.r_prime, profile.p):
+            got = [float(v).hex() for v in method(grid).ravel()]
+            assert got == [float(v).hex() for row in grid for v in method(row)]
 
 
 def test_optimal_map_answers_past_the_curve_range():

@@ -9,6 +9,7 @@ fails until its entry is deleted, and any other difference fails outright.
 
 import ast
 import json
+import math
 import random
 import sys
 from fractions import Fraction
@@ -57,6 +58,21 @@ def test_fmt12_is_percent_g_on_doubles_and_rounds_ties_to_even():
     assert exact.fmt12(Fraction("1.144405095635")) == "1.14440509564"
     assert exact.fmt12(Fraction("0.9999999999995")) == "1"
     assert exact.fmt12(Fraction("-0.00001234567890125")) == "-1.23456789012e-05"
+
+
+def test_fmt12_rounds_fractions_past_the_str_digit_limit():
+    # exact values at N = 2000 carry integers of more than 4300 digits,
+    # which str() refuses; the decimal exponent must not go through it
+    big = 3**10000
+    assert big.bit_length() * math.log10(2) > 4300
+    assert exact.fmt12(Fraction(2 * big + 1, 3 * big)) == "0.666666666667"
+    assert exact.fmt12(Fraction(big, 7 * big + 1)) == "0.142857142857"
+    assert exact.fmt12(Fraction(-big - 1, big * 10**7)) == "-1e-07"
+    assert exact.fmt12(Fraction(10**5000 - 1, 10**5003)) == "0.001"
+    # just above and just below each power of ten, both rounding to it
+    for e in range(-20, 21):
+        for step in (Fraction(1, big), -Fraction(1, big)):
+            assert exact.fmt12(Fraction(10) ** e + step) == f"{10.0**e:.12g}", (e, step > 0)
 
 
 @pytest.mark.parametrize("argv", sorted(GOLDEN))
