@@ -258,18 +258,26 @@ def _bloch_lengths(r: Union[float, np.ndarray]) -> np.ndarray:
     return rr
 
 
-def _scaling_factor(r, r_prime, p_zero) -> Union[float, np.ndarray]:
-    """``r_prime(r)/r`` at each ``r``, one batch for every nonzero ``r``, and
-    ``p_zero()`` at ``r = 0``; a float for a scalar ``r``, else the shape of ``r``."""
-    rr = np.asarray(r, dtype=float)
-    nonzero = rr != 0
+def _scaling_factor(r: np.ndarray, r_prime: np.ndarray, p_zero) -> np.ndarray:
+    """``p = r'/r`` from the ``r'`` already evaluated at each entry of the
+    array ``r``, and ``p_zero()`` only where ``r`` is 0."""
+    nonzero = r != 0
     if nonzero.all():
-        values = (r_prime(rr.ravel()) / rr.ravel()).reshape(rr.shape)
-    else:
-        values = np.full_like(rr, p_zero())
-        if nonzero.any():
-            values[nonzero] = r_prime(rr[nonzero]) / rr[nonzero]
-    return float(values) if np.isscalar(r) else values
+        return r_prime / r
+    values = np.full_like(r, p_zero())
+    values[nonzero] = r_prime[nonzero] / r[nonzero]
+    return values
+
+
+class _ScalingFactor:
+    """``p`` of a curve or profile, from its ``r_prime`` and ``p_zero``."""
+
+    def p(self, r: Union[float, np.ndarray]) -> Union[float, np.ndarray]:
+        """``r'/r`` of one ``r'`` evaluation over the raveled batch; ``p_zero()`` at 0."""
+        rr = np.asarray(r, dtype=float)
+        flat = rr.ravel()
+        values = _scaling_factor(flat, self.r_prime(flat), self.p_zero).reshape(rr.shape)
+        return float(values) if np.isscalar(r) else values
 
 
 @dataclass(frozen=True)
@@ -285,7 +293,7 @@ class BlochReport:
     p: float
 
 
-class BlochCurve:
+class BlochCurve(_ScalingFactor):
     """Vectorized ``r'(r)`` and ``p(r)`` evaluator for one channel.
 
     Takes an extremal map or the coefficients of any convex mixture; a
@@ -301,8 +309,9 @@ class BlochCurve:
     one power table ``r_+^k r_-^(n_in-k)`` that is gathered onto the
     coefficients.  The gathered matrix must stay C-ordered: the same
     numbers in F order take another BLAS kernel in the final product,
-    whose last bits differ.  Results also depend on how many points are
-    evaluated together, so callers keep their batches.
+    whose last bits differ.  ``r'`` also depends on how many points are
+    evaluated together, so callers keep their batches; ``p`` divides the
+    ``r'`` of its own batch (see :func:`_scaling_factor`).
     """
 
     def __init__(self, channel: Union[ExtremalMap, ChannelCoeffs]):
@@ -350,10 +359,6 @@ class BlochCurve:
         """Limit of ``r'/r`` as ``r -> 0``, the exact sector sum rounded once."""
         return self._p_zero
 
-    def p(self, r: Union[float, np.ndarray]) -> Union[float, np.ndarray]:
-        """Scaling factor ``r'/r``, with the analytic limit at ``r = 0``."""
-        return _scaling_factor(r, self.r_prime, self.p_zero)
-
     def report(self, r: float) -> BlochReport:
         return _report(self, r)
 
@@ -362,7 +367,7 @@ def _report(curve: Union[BlochCurve, ScalingProfile], r: float) -> BlochReport:
     """Bloch data at ``r`` from a curve or a profile's ``r_prime`` and ``p_zero``."""
     r = float(r)
     r_prime = float(curve.r_prime(r))
-    p = r_prime / r if r > 0 else curve.p_zero()
+    p = float(_scaling_factor(np.float64(r), np.float64(r_prime), curve.p_zero))
     return BlochReport(r=r, r_prime=r_prime, p=p)
 
 
@@ -499,8 +504,9 @@ def _f_n(n_in: int, r: float) -> float:
     lo, hi = max(mode - reach, 0), min(mode + reach, n_in)
     q = np.empty(hi - lo + 1)
     q[mode - lo] = 1.0
-    np.cumprod(t[n_in - mode : n_in - lo] * (r_minus / r_plus), out=q[: mode - lo][::-1])
-    np.cumprod(t[mode:hi] * (r_plus / r_minus), out=q[mode - lo + 1 :])
+    product = np.multiply.accumulate  # np.cumprod's loop, without its wrapper
+    product(t[n_in - mode : n_in - lo] * (r_minus / r_plus), out=q[: mode - lo][::-1])
+    product(t[mode:hi] * (r_plus / r_minus), out=q[mode - lo + 1 :])
     return float((b[lo : hi + 1] * q).sum() / q.sum())
 
 
@@ -676,34 +682,36 @@ def perfect_broadcast_channel(n_in: int, m_out: int, r: float) -> Optional[Chann
 # scaling profiles (the command line's r' and p columns)
 
 
-# Largest N whose M >= N profiles still evaluate the per-sector BlochCurve.
-# The figure2 digest in perfbench/golden.json pins that route's last digits
-# for the N <= 100 it prints, and that digest is the only reason for the cut:
-# the constant goes, with the log-factorial kernel, when the digest is
-# re-taken (ROADMAP.md item 14).
+# Largest N whose M >= N profiles still evaluate r' on the per-sector
+# BlochCurve.  Three things rely on the cut, and it goes, with the
+# log-factorial kernel, once each is settled (ROADMAP.md item 14): the
+# figure2 digest in perfbench/golden.json pins that route's last digits for
+# the N <= 100 it prints; test_one_copy_scaling_factor_is_constant bounds
+# r' at N = 1 by 1e-16, which the curve meets (at most 2.8e-17) and F_N
+# does not (1.1e-16 to 2.2e-16); and CI's traced curve-build step needs the
+# benchmark's large-n-thresholds to build curves, which only its strata
+# near N = 64 and 84 do.
 _SECTOR_ROUTE_MAX_N = 100
 
 
 @dataclass(frozen=True)
-class ScalingProfile:
+class ScalingProfile(_ScalingFactor):
     """The ``p(r)`` curve of the optimal map for one ``(N, M)`` pair.
 
     ``exhaustive`` is always True: the map is the exact argmax of
     :func:`optimal_map`.
 
-    Two routes evaluate ``r_prime`` and ``p_zero``, and ``p`` is their
-    ratio on either, over one flat batch of its nonzero points.  For
-    ``M >= N > 100`` every sector has ``s = -l(M+2)``, so
-    ``r' = (M+2)/M * F_N(r)`` from :func:`_f_n_rows`, which validates the
-    batch: O(sqrt N) work per point, O(N) memory, one pass each for the
-    scale and the ratio, no BLAS call and no float multiplicity, so it
-    answers at ``N = 10^5``; ``p(0)`` is :func:`half_spin_scaling_at_zero`
-    rounded once, :meth:`BlochCurve.p_zero` bit for bit.  The other pairs
-    evaluate the per-sector :attr:`curve` (its own ``p`` is the same ratio,
-    bit for bit): those with ``N <= 100`` because the ``figure2`` digest
-    pins that route's last digits, and those with ``M < N`` because their
-    sectors above ``l = M/2`` score ``s = -M(l+1)``, so ``r'`` is no
-    multiple of ``F_N`` (ROADMAP.md item 3).
+    Two routes evaluate ``r_prime``.  For ``M >= N > 100`` every sector has
+    ``s = -l(M+2)``, so ``r' = (M+2)/M * F_N(r)`` from :func:`_f_n_rows`,
+    which validates the batch: O(sqrt N) work per point, O(N) memory, no
+    BLAS call and no float multiplicity, so it answers at ``N = 10^5``.
+    The other pairs evaluate the per-sector :attr:`curve`: ``N <= 100`` for
+    the reasons at ``_SECTOR_ROUTE_MAX_N``, and ``M < N`` because sectors
+    above ``l = M/2`` score ``s = -M(l+1)``, so ``r'`` is no multiple of
+    ``F_N`` (ROADMAP.md item 3).  ``p`` divides the ``r'`` of its own batch
+    on either route.  ``p_zero`` is :func:`half_spin_scaling_at_zero`
+    rounded once for every ``M >= N`` (:meth:`BlochCurve.p_zero` bit for
+    bit), so only ``M < N`` reads the curve's.
 
     ``curve`` is the map's :class:`BlochCurve`, shared with
     :func:`single_copy_bloch` and built on first access, so the ``F_N``
@@ -724,22 +732,15 @@ class ScalingProfile:
     def _candidates(self) -> int:
         return extremal_count(self.n_in, self.m_out)
 
-    @property
-    def _on_curve(self) -> bool:
-        return not self.m_out >= self.n_in > _SECTOR_ROUTE_MAX_N
-
     def r_prime(self, r: Union[float, np.ndarray]) -> Union[float, np.ndarray]:
-        if self._on_curve:
+        if not self.m_out >= self.n_in > _SECTOR_ROUTE_MAX_N:
             return self.curve.r_prime(r)
         rr = np.asarray(r, dtype=float)
         value = _f_n_rows(self.n_in, rr.ravel()) * ((self.m_out + 2) / self.m_out)
         return float(value[0]) if np.isscalar(r) else value.reshape(rr.shape)
 
-    def p(self, r: Union[float, np.ndarray]) -> Union[float, np.ndarray]:
-        return _scaling_factor(r, self.r_prime, self.p_zero)
-
     def p_zero(self) -> float:
-        if self._on_curve:
+        if self.m_out < self.n_in:
             return self.curve.p_zero()
         return float(half_spin_scaling_at_zero(self.n_in, self.m_out))
 

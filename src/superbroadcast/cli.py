@@ -115,10 +115,7 @@ def _curve_rows(prefix: list[str], n: int, m: int, config: RunConfig) -> list[li
     grid = np.linspace(config.r_min, config.r_max, config.steps)
     profile = scaling_profile(n, m)
     r_prime = profile.r_prime(grid)
-    # an F_N point does not depend on its batch, so p divides the r' in hand;
-    # a per-sector curve's last bits do, and figure2 pins both its batches
-    p = (profile.p(grid) if profile._on_curve
-         else _scaling_factor(grid, lambda r: r_prime[grid != 0], profile.p_zero))
+    p = _scaling_factor(grid, r_prime, profile.p_zero)
     return [
         prefix + [str(n), str(m), _fmt(grid[i]), _fmt(r_prime[i]), _fmt(p[i])]
         for i in range(grid.size)

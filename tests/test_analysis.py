@@ -298,10 +298,12 @@ def test_power_table_is_bit_identical_to_expanded_powers(monkeypatch):
         for r in specials:
             assert curve.r_prime(r) == float(_expanded_r_prime(curve, r))
         for rs in batches:
-            assert np.array_equal(curve.r_prime(rs), _expanded_r_prime(curve, rs))
+            r_prime = _expanded_r_prime(curve, rs)
+            assert np.array_equal(curve.r_prime(rs), r_prime)
+            # p divides the r' of its own batch, zeros included
             nonzero = rs != 0
             expected = np.full(rs.size, curve.p_zero())
-            expected[nonzero] = _expanded_r_prime(curve, rs[nonzero]) / rs[nonzero]
+            expected[nonzero] = r_prime[nonzero] / rs[nonzero]
             assert np.array_equal(curve.p(rs), expected)
     # a gather by fancy indexing would be F-ordered, and the product would
     # take another BLAS kernel with other last bits
@@ -634,10 +636,14 @@ def test_profiles_past_the_sector_route_build_no_curve(monkeypatch):
         assert profile.r_prime(grid)[0] == 0.0
         assert profile.p(grid)[0] == profile.p_zero() == float(half_spin_scaling_at_zero(n, m))
         assert profile.r_prime(1.0) == (m + 2) / m * float(_binomial_coefficients(n)[-1])
+    # p(0) of every M >= N profile is the exact rational, on either route
+    assert scaling_profile(100, 101).p_zero() == float(half_spin_scaling_at_zero(100, 101))
     # N <= 100 and M < N still take the per-sector curve
     for n, m in [(100, 101), (120, 119)]:
         with pytest.raises(AssertionError, match="built a BlochCurve"):
             scaling_profile(n, m).p(0.5)
+    with pytest.raises(AssertionError, match="built a BlochCurve"):
+        scaling_profile(120, 119).p_zero()
     analysis.scaling_profile.cache_clear()
 
 
@@ -681,11 +687,46 @@ def test_profile_and_curve_values_keep_the_input_shape(n):
         assert method(grid).shape == (2, 3)
         assert method(np.array([])).shape == (0,)
         assert_allclose(method(grid), [method(row) for row in grid], rtol=1e-13, atol=0)
-    # an F_N point does not depend on its batch, so the rows agree exactly
-    if not profile._on_curve:
+    # an F_N point (M >= N > 100) does not depend on its batch, so the rows
+    # agree exactly
+    if n > 100:
         for method in (profile.r_prime, profile.p):
             got = [float(v).hex() for v in method(grid).ravel()]
             assert got == [float(v).hex() for row in grid for v in method(row)]
+
+
+@pytest.mark.parametrize("n, m", [(12, 13), (40, 12), (150, 151)])
+def test_p_divides_the_r_prime_of_its_own_evaluation(n, m, monkeypatch):
+    # one rule for p on both routes (per-sector curve, F_N): each p call
+    # evaluates r' once, over its raveled batch, and p is r'/r of that
+    # evaluation where r != 0 and p_zero() where r = 0
+    profile = scaling_profile(n, m)
+    rng = np.random.default_rng(n + m)
+    with_zero = rng.random(36)
+    with_zero[[0, 7, 35]] = 0.0
+    inputs = [0.3, 0.0, np.array(0.7), np.array(0.0), rng.random(36), with_zero,
+              with_zero.reshape(4, 9)]
+    for source in (profile, profile.curve):
+        cls = type(source)
+        evaluate = cls.r_prime
+        for r in inputs:
+            seen = []
+
+            def recording(self, x, seen=seen):
+                seen.append((np.array(x, dtype=float), evaluate(self, x)))
+                return seen[-1][1]
+
+            monkeypatch.setattr(cls, "r_prime", recording)
+            got = source.p(r)
+            monkeypatch.setattr(cls, "r_prime", evaluate)
+            rr = np.asarray(r, dtype=float)
+            assert type(got) is float if np.isscalar(r) else got.shape == rr.shape
+            assert len(seen) == 1 and np.array_equal(seen[0][0], rr.ravel())
+            r_prime = np.asarray(seen[0][1]).reshape(rr.shape)
+            want = np.where(rr == 0, source.p_zero(), r_prime / np.where(rr == 0, 1.0, rr))
+            assert [v.hex() for v in np.ravel(got)] == [v.hex() for v in want.ravel()]
+            # and the r' in it is the one a direct call on that batch gives
+            assert np.array_equal(seen[0][1], source.r_prime(rr.ravel()))
 
 
 def test_optimal_map_answers_past_the_curve_range():

@@ -2,6 +2,8 @@
 
 import argparse
 import contextlib
+import hashlib
+import json
 import math
 import os
 import subprocess
@@ -30,6 +32,7 @@ from superbroadcast.thresholds import r_star
 
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
+GOLDEN = json.loads((Path(SRC).parent / "perfbench" / "golden.json").read_text())
 
 
 def run_cli(*args):
@@ -56,8 +59,8 @@ def test_scaling_rows_shape():
 
 
 def test_scaling_rows_evaluate_f_n_once_per_curve(monkeypatch):
-    # on the F_N route p divides the r' in hand: one F_N batch per curve, and
-    # the bytes of the profile's own p, which evaluates F_N a second time
+    # p divides the r' column it prints: on the F_N route one F_N batch per
+    # curve, and the bytes of the profile's own p, which evaluates F_N again
     config = RunConfig("scaling", n_in=150, m_range=(150, 152), steps=101)
     grid = np.linspace(0.0, 1.0, 101)
     want = [["n", "m", "r", "r_prime", "p"]]
@@ -75,6 +78,19 @@ def test_scaling_rows_evaluate_f_n_once_per_curve(monkeypatch):
     monkeypatch.setattr(analysis, "_f_n_rows", counted)
     assert scaling_rows(config) == want
     assert calls == [101, 101, 101]
+    # on the per-sector route one BlochCurve evaluation per curve: figure2's
+    # 15 curves, whose bytes keep the golden digest
+    calls.clear()
+    r_prime = analysis.BlochCurve.r_prime
+
+    def counted_curve(self, r):
+        calls.append(np.size(r))
+        return r_prime(self, r)
+
+    monkeypatch.setattr(analysis.BlochCurve, "r_prime", counted_curve)
+    text = "\n".join(",".join(row) for row in cli.figure2_rows(RunConfig("figure2"))) + "\n"
+    assert calls == [101] * 15
+    assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN["figure2"]
 
 
 def test_threshold_rows_values():
